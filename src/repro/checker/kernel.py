@@ -43,33 +43,6 @@ from repro.checker.store import ClauseStore, InternedClause
 ClauseLits = Iterable[int]
 
 
-class SignedCounters:
-    """A reusable ±generation assignment buffer, indexed by variable.
-
-    ``marks[var] == +gen`` means *true*, ``-gen`` means *false*, anything
-    else means unassigned this generation. Bumping the generation resets
-    every variable in O(1); the buffer itself is allocated once. Used by
-    :class:`~repro.checker.unitprop.UnitPropagator` for its per-call
-    assignment state (the kernel's own marks need one slot per *literal*
-    so tautological clauses stay representable).
-    """
-
-    __slots__ = ("marks", "gen")
-
-    def __init__(self, num_vars: int = 0):
-        self.marks: list[int] = [0] * (num_vars + 1)
-        self.gen = 0
-
-    def new_generation(self) -> int:
-        self.gen += 1
-        return self.gen
-
-    def ensure(self, var: int) -> None:
-        marks = self.marks
-        if var >= len(marks):
-            marks.extend([0] * (var + 1 - len(marks)))
-
-
 class ResolutionKernel:
     """Marking-based resolution over interned clauses.
 

@@ -23,7 +23,6 @@ from typing import IO, Iterable, Iterator, Sequence
 from repro.checker.errors import CheckFailure, FailureKind
 from repro.checker.memory import Deadline
 from repro.checker.report import CheckReport
-from repro.checker.store import ClauseStore
 from repro.checker.unitprop import UnitPropagator
 from repro.cnf import CnfFormula
 from repro.proofs.parser import iter_proof_steps, read_proof
@@ -144,7 +143,7 @@ class RupChecker:
         return doc.steps, self._plan.skip_ordinals
 
     def _run(self) -> tuple[bool, int]:
-        engine = UnitPropagator(self.formula.num_vars, store=ClauseStore())
+        engine = UnitPropagator(self.formula.num_vars)
         index_of: dict[tuple[int, ...], list[int]] = {}
         for clause in self.formula:
             index = engine.add_clause(clause.literals)
@@ -160,12 +159,10 @@ class RupChecker:
         deadline = self._deadline
         if deadline is not None:
             deadline.check()
-        ticks = 0
-        for kind, literals in proof_steps:
-            if deadline is not None:
-                ticks += 1
-                if not ticks & 0x3F:
-                    deadline.check()
+        position = 0
+        for position, (kind, literals) in enumerate(proof_steps, start=1):
+            if deadline is not None and not position & 0x3F:
+                deadline.check()
             if kind == "delete":
                 key = tuple(sorted(set(literals)))
                 credit = skipped_pool.get(key, 0)
@@ -191,7 +188,7 @@ class RupChecker:
                     FailureKind.BAD_RESOLUTION,
                     "clause is not RUP: negating it does not propagate to "
                     "a conflict",
-                    step=steps,
+                    step=position,
                     literals=literals,
                 )
             if not literals:
@@ -202,5 +199,5 @@ class RupChecker:
         raise CheckFailure(
             FailureKind.NOT_EMPTY,
             "DRUP proof ended without deriving the empty clause",
-            steps=steps,
+            steps=position,
         )

@@ -34,13 +34,12 @@ from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro import faults
 from repro.checker.errors import CheckFailure, FailureKind
 from repro.checker.memory import Deadline
 from repro.checker.report import CheckReport
-from repro.checker.store import ClauseStore
 from repro.checker.unitprop import UnitPropagator
 from repro.cnf import CnfFormula
 from repro.proofs.parser import iter_proof_steps, read_proof
@@ -127,7 +126,7 @@ class DratChecker:
     # -- shared pieces --------------------------------------------------------
 
     def _setup(self) -> tuple[UnitPropagator, dict[tuple[int, ...], list[int]]]:
-        engine = UnitPropagator(self.formula.num_vars, store=ClauseStore())
+        engine = UnitPropagator(self.formula.num_vars)
         index_of: dict[tuple[int, ...], list[int]] = {}
         for clause in self.formula:
             index = engine.add_clause(clause.literals)
@@ -139,13 +138,35 @@ class DratChecker:
         if self._deadline is not None and not ticks & 0x3F:
             self._deadline.check()
 
-    def _verify_lemma(self, literals: Sequence[int], step: int) -> None:
-        """RUP, then full RAT on the pivot (first literal). Raises on failure."""
+    def _conflicts(
+        self, assumptions: list[int], mark: Callable[[list[int]], None] | None
+    ) -> bool:
+        """One propagation; in backward mode the conflict cone goes to ``mark``."""
+        engine = self._engine
+        assert engine is not None
+        self._propagations += 1
+        if mark is None:
+            return engine.propagate(assumptions)
+        conflict, used = engine.propagate_tracked(assumptions)
+        if conflict:
+            mark(used)
+        return conflict
+
+    def _verify_lemma(
+        self,
+        literals: Sequence[int],
+        step: int,
+        mark: Callable[[list[int]], None] | None = None,
+    ) -> None:
+        """RUP, then full RAT on the pivot (first literal). Raises on failure.
+
+        Backward mode passes ``mark``: every conflict is then replayed with
+        dependency tracking so antecedent lemmas join the marked core.
+        """
         engine = self._engine
         assert engine is not None
         unique = list(dict.fromkeys(literals))
-        self._propagations += 1
-        if engine.propagate([-lit for lit in unique]):
+        if self._conflicts([-lit for lit in unique], mark):
             self._rup_steps += 1
             return
         if not literals:
@@ -167,9 +188,8 @@ class DratChecker:
             if any(m != -pivot and -m in c_set for m in clause):
                 continue
             resolvents += 1
-            self._propagations += 1
             assumptions = negated_rest + [-m for m in clause if m != -pivot]
-            if not engine.propagate(assumptions):
+            if not self._conflicts(assumptions, mark):
                 raise CheckFailure(
                     FailureKind.NOT_RAT,
                     "clause is neither RUP nor RAT on its first literal: "
@@ -201,11 +221,12 @@ class DratChecker:
 
     def _run_forward(self) -> bool:
         engine, index_of = self._setup()
-        ticks = 0
-        for kind, literals in iter_proof_steps(self.proof_path, self._encoding):
+        step = 0
+        for step, (kind, literals) in enumerate(
+            iter_proof_steps(self.proof_path, self._encoding), start=1
+        ):
             faults.fault_point(FP_STEP, key=kind)
-            ticks += 1
-            self._tick(ticks)
+            self._tick(step)
             if kind == "delete":
                 self._apply_delete(engine, index_of, literals)
                 continue
@@ -214,7 +235,7 @@ class DratChecker:
                 self._checked += 1
             # The empty clause is verified too, but only lemma checks count
             # toward clauses_built (so built/total stays a percentage).
-            self._verify_lemma(literals, step=self._checked)
+            self._verify_lemma(literals, step)
             if not literals:
                 faults.fault_point(FP_FINALIZE, key="forward")
                 return True
@@ -222,15 +243,14 @@ class DratChecker:
             index_of.setdefault(_clause_key(literals), []).append(index)
         # No explicit empty clause: accept iff the database already
         # propagates to a top-level conflict (drat-trim does the same).
-        self._propagations += 1
-        if engine.propagate([]):
+        if self._conflicts([], None):
             self._implicit_empty = True
             faults.fault_point(FP_FINALIZE, key="forward")
             return True
         raise CheckFailure(
             FailureKind.NOT_EMPTY,
             "DRAT proof ended without deriving the empty clause",
-            steps=self._checked,
+            steps=step,
         )
 
     # -- backward mode --------------------------------------------------------
@@ -248,10 +268,8 @@ class DratChecker:
         current: dict[int, int | None] = {}
         removed_at: dict[int, int] = {}  # delete-step ordinal -> engine index
         stop = len(steps)
-        ticks = 0
         for ordinal, (kind, literals) in enumerate(steps):
-            ticks += 1
-            self._tick(ticks)
+            self._tick(ordinal + 1)
             if kind == "delete":
                 index = self._apply_delete(engine, index_of, literals)
                 if index is not None:
@@ -268,31 +286,37 @@ class DratChecker:
             current[ordinal] = index
             index_of.setdefault(_clause_key(literals), []).append(index)
 
+        marked: set[int] = set()
+
+        def mark(used: list[int]) -> None:
+            for index in used:
+                source = origin.get(index)
+                if source is not None:
+                    marked.add(source)
+
         # The empty clause (explicit or implicit) must be RUP, with its
         # conflict cone recorded: those clauses seed the marking.
         self._implicit_empty = stop == len(steps)
-        self._propagations += 1
-        conflict, used = engine.propagate_tracked([])
-        if not conflict:
+        if not self._conflicts([], mark):
+            if self._implicit_empty:
+                raise CheckFailure(
+                    FailureKind.NOT_EMPTY,
+                    "DRAT proof ended without deriving the empty clause",
+                    steps=stop,
+                )
             raise CheckFailure(
                 FailureKind.NOT_EMPTY,
                 "the empty clause is not RUP: the database does not "
-                "propagate to a conflict"
-                if not self._implicit_empty
-                else "DRAT proof ended without deriving the empty clause",
-                steps=stop,
+                "propagate to a conflict",
+                step=stop + 1,
             )
-        marked: set[int] = set()
-        self._mark(used, origin, marked)
 
         # Pass 2: walk the proof in reverse, undoing each step; verify
         # only marked lemmas, marking their conflict cones in turn.
-        skipped = 0
         for ordinal in range(stop - 1, -1, -1):
             kind, literals = steps[ordinal]
             faults.fault_point(FP_STEP, key=kind)
-            ticks += 1
-            self._tick(ticks)
+            self._tick(ordinal + 1)
             if kind == "delete":
                 index = removed_at.get(ordinal)
                 if index is None:
@@ -310,10 +334,9 @@ class DratChecker:
                 engine.remove_clause(index)
                 origin.pop(index, None)
             if ordinal not in marked:
-                skipped += 1
                 continue
             self._checked += 1
-            self._verify_lemma_tracked(literals, origin, marked, step=ordinal)
+            self._verify_lemma(literals, ordinal + 1, mark)
 
         total = doc.num_adds
         self._prune_info = {
@@ -325,58 +348,3 @@ class DratChecker:
         }
         faults.fault_point(FP_FINALIZE, key="backward")
         return True
-
-    def _mark(
-        self, used: Iterable[int], origin: dict[int, int], marked: set[int]
-    ) -> None:
-        for index in used:
-            source = origin.get(index)
-            if source is not None:
-                marked.add(source)
-
-    def _verify_lemma_tracked(
-        self,
-        literals: Sequence[int],
-        origin: dict[int, int],
-        marked: set[int],
-        step: int,
-    ) -> None:
-        """The backward-pass twin of :meth:`_verify_lemma`: every conflict
-        is replayed with dependency tracking so antecedent lemmas join the
-        marked core."""
-        engine = self._engine
-        assert engine is not None
-        unique = list(dict.fromkeys(literals))
-        self._propagations += 1
-        conflict, used = engine.propagate_tracked([-lit for lit in unique])
-        if conflict:
-            self._rup_steps += 1
-            self._mark(used, origin, marked)
-            return
-        pivot = literals[0]
-        c_set = set(unique)
-        negated_rest = [-lit for lit in unique if lit != pivot]
-        resolvents = 0
-        for index in list(engine.occurrences(-pivot)):
-            clause = engine.clauses[index]
-            if clause is None:
-                continue
-            if any(m != -pivot and -m in c_set for m in clause):
-                continue
-            resolvents += 1
-            self._propagations += 1
-            assumptions = negated_rest + [-m for m in clause if m != -pivot]
-            conflict, used = engine.propagate_tracked(assumptions)
-            if not conflict:
-                raise CheckFailure(
-                    FailureKind.NOT_RAT,
-                    "clause is neither RUP nor RAT on its first literal: "
-                    "a resolvent is not RUP",
-                    step=step,
-                    literals=list(literals),
-                    pivot=pivot,
-                    resolvent_partner=list(clause),
-                )
-            self._mark(used, origin, marked)
-        self._rat_steps += 1
-        self._rat_resolvents += resolvents
