@@ -2,13 +2,14 @@
 
 Measures, in one run:
 
-* **decode** — the binary trace hot loop, legacy byte-at-a-time decoder
-  vs the batched chunk decoder;
+* **decode** — the binary trace hot loop, the byte-at-a-time reference
+  decoder (``tests/trace/reference_decoder.py``) vs the batched chunk
+  decoder;
 * **resolve** — chain resolution over the in-memory trace, frozenset
   reference engine vs the marking-array kernel (with an oracle gate: the
   kernel's resolvent must equal the reference's on every chain);
-* **end-to-end** — each checker mode (bf / df / hybrid / parallel) run
-  old-style (reference engine + legacy decoder) and new-style (kernel +
+* **end-to-end** — each checker mode (bf / df / hybrid) run old-style
+  (reference engine + byte-at-a-time decoder) and new-style (kernel +
   batched decoder) against the same traces, plus a per-phase breakdown
   for the breadth-first checker (decode vs resolve vs bookkeeping).
 
@@ -30,22 +31,24 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from repro.checker import (  # noqa: E402
     BreadthFirstChecker,
     DepthFirstChecker,
     HybridChecker,
-    ParallelWindowedChecker,
 )
 from repro.checker.kernel import KernelEngine, ReferenceEngine  # noqa: E402
 from repro.cnf import CnfFormula  # noqa: E402
 from repro.generators.pigeonhole import pigeonhole  # noqa: E402
 from repro.solver import solve_formula  # noqa: E402
-from repro.trace import binary_format  # noqa: E402
+from repro.trace import binary_format, io as trace_io  # noqa: E402
 from repro.trace.io import load_trace, open_trace_writer  # noqa: E402
 from repro.trace.records import LearnedClause, Trace  # noqa: E402
+from tests.trace.reference_decoder import iter_binary_records_unbatched  # noqa: E402
 
 
 def best_of(repeats: int, fn, *args):
@@ -93,7 +96,7 @@ def prepare(pigeons: int, holes: int, tmp_dir: str) -> tuple[CnfFormula, str, Tr
 
 def bench_decode(path: str, repeats: int) -> dict:
     def drain_legacy():
-        return sum(1 for _ in binary_format.iter_binary_records_unbatched(path))
+        return sum(1 for _ in iter_binary_records_unbatched(path))
 
     def drain_batched():
         return sum(1 for _ in binary_format.iter_binary_records(path))
@@ -166,15 +169,18 @@ def bench_resolve(formula: CnfFormula, trace: Trace, repeats: int) -> dict:
 
 def _make_checker(mode: str, formula: CnfFormula, path: str, use_kernel: bool):
     if mode == "bf":
-        return BreadthFirstChecker(formula, path, use_kernel=use_kernel)
+        if use_kernel:
+            return BreadthFirstChecker(formula, path)
+        # The old decoder has no fused extent/count scan. A count chunk
+        # spanning every clause ID keeps BF on its record-streaming
+        # passes with the same single counting pass.
+        return BreadthFirstChecker(
+            formula, path, use_kernel=False, count_chunk_size=sys.maxsize
+        )
     if mode == "df":
         return DepthFirstChecker(formula, load_trace(path), use_kernel=use_kernel)
     if mode == "hybrid":
         return HybridChecker(formula, path, use_kernel=use_kernel)
-    if mode == "parallel":
-        return ParallelWindowedChecker(
-            formula, path, num_workers=2, use_kernel=use_kernel
-        )
     raise ValueError(mode)
 
 
@@ -182,9 +188,11 @@ def bench_end_to_end(formula: CnfFormula, path: str, repeats: int, modes) -> dic
     results = {}
     for mode in modes:
         def run_old():
-            with binary_format.decoder_mode("legacy"):
-                report = _make_checker(mode, formula, path, use_kernel=False).check()
-            return report
+            # Every trace-file read goes through the byte-at-a-time decoder.
+            with mock.patch.object(
+                trace_io, "iter_binary_records", iter_binary_records_unbatched
+            ):
+                return _make_checker(mode, formula, path, use_kernel=False).check()
 
         def run_new():
             report = _make_checker(mode, formula, path, use_kernel=True).check()
@@ -250,7 +258,7 @@ def main(argv=None) -> int:
         # Best-of-9 keeps the old/new ratio stable to within a few percent
         # on a noisy machine; interleaving (best_of_pair) does the rest.
         repeats = args.repeats or 9
-        modes = ["bf", "df", "hybrid", "parallel"]
+        modes = ["bf", "df", "hybrid"]
 
     rows = []
     with tempfile.TemporaryDirectory(prefix="bench-kernel-") as tmp_dir:

@@ -16,9 +16,6 @@ Measurements, written to ``results/BENCH_service.json``:
 * **warm-population throughput** — N identical jobs through one
   scheduler with the cache on: one real check, N-1 verdict-cache serves.
   This isolates the cache-hit serving rate from checking throughput.
-* **thread-mode contrast** (full mode only) — the same cold population
-  on the legacy ``ThreadWorkerPool``, documenting what the GIL does to
-  a CPU-bound fleet.
 * **sharded drill** — one spool, two ``repro serve --once`` processes
   owning disjoint shards, every job checked exactly once.
 
@@ -28,7 +25,7 @@ jobs/s; on smaller hosts (this includes 1-core CI containers, where
 parallel speedup is physically impossible) the gate degrades to a
 **monotonicity floor** — 4 workers must not fall below 0.9x of 1 worker,
 which still catches the original negative-scaling regression (0.77x on
-the thread scheduler). ``cpu_count`` and the applied gate are recorded
+a thread-based scheduler). ``cpu_count`` and the applied gate are recorded
 in the JSON so no reader mistakes a floor pass for a speedup claim.
 
 Usage:
@@ -160,7 +157,6 @@ def bench_cold_throughput(
     tmp_dir: str,
     jobs_per_worker: int,
     worker_counts: tuple[int, ...],
-    exec_mode: str = "process",
 ) -> list[dict]:
     """Distinct-key jobs, cache off: every job is a full resolution check.
 
@@ -172,14 +168,12 @@ def bench_cold_throughput(
     rows = []
     for workers in worker_counts:
         num_jobs = jobs_per_worker * workers
-        spool = os.path.join(tmp_dir, f"spool-{exec_mode}-w{workers}")
+        spool = os.path.join(tmp_dir, f"spool-w{workers}")
         for job_index in range(num_jobs):
             # Distinct timeouts make distinct content keys: no dedup, no
             # cache sharing between jobs.
             submit_job(spool, cnf, trace, {"method": "bf", "timeout": 3600.0 + job_index})
-        daemon = CheckDaemon(
-            spool, num_workers=workers, use_cache=False, exec_mode=exec_mode
-        )
+        daemon = CheckDaemon(spool, num_workers=workers, use_cache=False)
         start = time.perf_counter()
         daemon.run_once()
         elapsed = time.perf_counter() - start
@@ -313,27 +307,15 @@ def main(argv=None) -> int:
 
         # Throughput over the largest prepared instance.
         throughput_rows = bench_cold_throughput(
-            cnf, trace, tmp_dir, jobs_per_worker, worker_counts, exec_mode="process"
+            cnf, trace, tmp_dir, jobs_per_worker, worker_counts
         )
         for row in throughput_rows:
             print(
-                f"== cold queue [process]: {row['jobs']} jobs @ "
+                f"== cold queue: {row['jobs']} jobs @ "
                 f"{row['workers']} worker(s): {row['elapsed_s']:.3f}s  "
                 f"({row['jobs_per_s']:.1f} jobs/s, p50 {row['latency_p50_s']:.3f}s, "
                 f"p99 {row['latency_p99_s']:.3f}s)"
             )
-        thread_rows = []
-        if not args.quick:
-            thread_rows = bench_cold_throughput(
-                cnf, trace, tmp_dir, jobs_per_worker,
-                (worker_counts[0], worker_counts[-1]), exec_mode="thread",
-            )
-            for row in thread_rows:
-                print(
-                    f"== cold queue [thread]:  {row['jobs']} jobs @ "
-                    f"{row['workers']} worker(s): {row['elapsed_s']:.3f}s  "
-                    f"({row['jobs_per_s']:.1f} jobs/s)"
-                )
         warm_row = bench_warm_throughput(cnf, trace, tmp_dir, warm_jobs, workers=2)
         print(
             f"== warm queue: {warm_row['jobs']} jobs, "
@@ -368,7 +350,6 @@ def main(argv=None) -> int:
             "scaling_achieved": round(scaling, 2),
             "cache": cache_rows,
             "throughput": throughput_rows,
-            "thread_throughput": thread_rows,
             "warm_throughput": warm_row,
             "sharded_drill": drill_row,
         }

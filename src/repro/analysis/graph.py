@@ -46,7 +46,6 @@ from repro.trace.records import (
 
 if TYPE_CHECKING:
     from repro.analysis.rules import ScanState
-    from repro.trace.windows import WindowPlan
 
 TraceSource = Trace | str | Path | Iterable[TraceRecord]
 
@@ -131,23 +130,6 @@ class PrunePlan:
         for cid in sorted(self.skip):
             digest.update(f"{cid}\n".encode())
         return digest.hexdigest()
-
-    def window_counts(self, window_plan: "WindowPlan") -> list[dict[str, int]]:
-        """Kept/skipped learned-clause counts per trace window.
-
-        Windows partition the learned-ID range (``repro.trace.windows``);
-        this reports how much of each window survives pruning — the
-        parallel checker's per-window work estimate.
-        """
-        summary = [
-            {"window": spec.index, "kept": 0, "skipped": 0}
-            for spec in window_plan.windows
-        ]
-        for cid in self.keep:
-            summary[window_plan.window_of(cid).index]["kept"] += 1
-        for cid in self.skip:
-            summary[window_plan.window_of(cid).index]["skipped"] += 1
-        return summary
 
     def to_dict(self) -> dict[str, int | float]:
         return {

@@ -14,9 +14,6 @@ structured diagnostic.
 * :class:`HybridChecker` — the paper's future-work design: DF-style marking
   over the clause-ID graph plus BF-style streaming of only the needed
   clauses.
-* :class:`ParallelWindowedChecker` — partitions the trace into clause-ID
-  windows and verifies them concurrently across worker processes, with a
-  byte-identical cross-check on the interface clauses windows share.
 * :class:`StreamingWindowChecker` — the constant-memory tier: decodes an
   mmap'd trace in batches behind a shifting window whose resident clauses
   are bounded by a budget; overflow spills to disk, so it never
@@ -29,8 +26,9 @@ structured diagnostic.
   clausal front end: text or binary DRAT with RAT fallback and two-pass
   backward (core-first) checking.
 * :class:`CheckSupervisor` — the resilience layer: wall-clock/memory
-  budgets, the DF → hybrid → BF degradation ladder, worker-crash recovery
-  and BF checkpoint/resume (see :mod:`repro.checker.supervisor`).
+  budgets, the DF → hybrid → BF degradation ladder (streaming as the last
+  rung for huge traces) and BF checkpoint/resume (see
+  :mod:`repro.checker.supervisor`).
 """
 
 from repro.checker.errors import CheckFailure, FailureKind
@@ -60,7 +58,6 @@ from repro.checker.breadth_first import (
     write_checkpoint,
 )
 from repro.checker.hybrid import HybridChecker
-from repro.checker.parallel import ParallelWindowedChecker, WindowManifest, run_window
 from repro.checker.streaming import StreamingWindowChecker
 from repro.checker.rup import RupChecker, DrupWriter
 from repro.proofs.drat import DratChecker
@@ -92,10 +89,7 @@ __all__ = [
     "DepthFirstChecker",
     "BreadthFirstChecker",
     "HybridChecker",
-    "ParallelWindowedChecker",
     "StreamingWindowChecker",
-    "WindowManifest",
-    "run_window",
     "RupChecker",
     "DrupWriter",
     "DratChecker",

@@ -41,7 +41,6 @@ from repro.checker.resolution import ResolutionError
 from repro.cnf import CnfFormula
 from repro.trace.binary_format import (
     MAGIC,
-    active_decoder_mode,
     iter_binary_records_raw,
     scan_binary_learned,
 )
@@ -262,22 +261,17 @@ class BreadthFirstChecker:
     def _extent_and_counts(self) -> tuple[int, str]:
         """Run the extent and counting passes; returns (max_cid, counts path).
 
-        When the source is a binary trace file (and neither the legacy
-        decoder nor chunked counting was requested), both passes fuse into
-        one :func:`scan_binary_learned` sweep that decodes the varints in
-        place without constructing record objects — the same arithmetic at
-        a fraction of the cost. Everything else takes the generic
+        When the source is a binary trace file (and chunked counting was
+        not requested), both passes fuse into one
+        :func:`scan_binary_learned` sweep that decodes the varints in place
+        without constructing record objects — the same arithmetic at a
+        fraction of the cost. Everything else takes the generic
         record-streaming passes.
 
         With a prune plan, both passes vanish: the plan already carries the
         extent and the exact use counts restricted to the proof cone.
         """
-        fast_eligible = (
-            self._chunk_size is None
-            and isinstance(self._source, (str, Path))
-            and active_decoder_mode() == "batched"
-        )
-        if fast_eligible:
+        if self._chunk_size is None and isinstance(self._source, (str, Path)):
             with open(self._source, "rb") as handle:
                 self._binary_fast = handle.read(len(MAGIC)) == MAGIC
         if self._plan is not None:

@@ -27,9 +27,8 @@ class FailureKind(enum.Enum):
     STATIC_PRECHECK = "static-precheck"  # the lint pre-pass rejected the trace
     BAD_HEADER = "bad-header"  # trace has no (usable) header record
     MALFORMED_TRACE = "malformed-trace"  # record stream unparseable mid-check
-    INTERFACE_MISMATCH = "interface-mismatch"  # windows disagree on a shared clause
     TIMEOUT = "timeout"  # checker exceeded its wall-clock deadline
-    WORKER_CRASH = "worker-crash"  # a worker process died and retries ran out
+    WORKER_CRASH = "worker-crash"  # the check attempt or its worker process crashed
     MALFORMED_PROOF = "malformed-proof"  # DRUP/DRAT proof stream unparseable
     NOT_RAT = "not-rat"  # clause is neither RUP nor RAT on its pivot
 

@@ -62,18 +62,16 @@ class CheckReport:
     clause IDs the proof touched — an unsatisfiable core (§4, Table 3).
     ``learned_used`` is the analogous set of learned clause IDs.
 
-    ``window_stats`` (parallel checker only) holds one summary dict per
-    verified window: per-window builds, resolutions, interface sizes and
-    peak memory. ``peak_memory_units`` is then the max across workers plus
-    the coordinator's interface overhead, not a sum.
+    ``window_stats`` (streaming checker only) holds one summary dict per
+    shifting-window position: records decoded, clauses built, resident
+    units and clauses, and spills (the log is capped; see
+    :class:`~repro.trace.windows.ShiftingWindow`).
 
     ``degradation`` (supervisor only) records the attempt ladder that led
     to this verdict: one dict per attempt with the checker method, its
     outcome (``"verified"`` / a :class:`~repro.checker.errors.FailureKind`
     value) and elapsed seconds, in the order tried. A verdict reached via
-    fallback therefore states *how* it was reached. ``recovery`` (parallel
-    checker only) logs worker-level fault handling: crashes, hangs,
-    retries and in-process re-assignments, one dict per event.
+    fallback therefore states *how* it was reached.
 
     ``fingerprint`` (service layer) names the exact artifacts this verdict
     is about: SHA-256 hex digests of the formula, the trace, and the
@@ -96,7 +94,6 @@ class CheckReport:
     learned_used: set[int] | None = None
     window_stats: list[dict] | None = None
     degradation: list[dict] | None = None
-    recovery: list[dict] | None = None
     fingerprint: dict | None = None
     from_cache: bool = False
     # Core-first pruning summary (``PrunePlan.to_dict()``) when the check
@@ -159,8 +156,6 @@ class CheckReport:
             payload["window_stats"] = self.window_stats
         if self.degradation is not None:
             payload["degradation"] = self.degradation
-        if self.recovery is not None:
-            payload["recovery"] = self.recovery
         if self.fingerprint is not None:
             payload["fingerprint"] = self.fingerprint
         if self.prune is not None:
@@ -201,7 +196,6 @@ class CheckReport:
             learned_used=set(learned_used) if learned_used is not None else None,
             window_stats=payload.get("window_stats"),
             degradation=payload.get("degradation"),
-            recovery=payload.get("recovery"),
             fingerprint=payload.get("fingerprint"),
             prune=payload.get("prune"),
             memory=payload.get("memory"),

@@ -17,19 +17,16 @@ verdict states how it was reached.
   structured memory-out, so even a genuine heap exhaustion degrades
   predictably.
 * **The degradation ladder** — under the ``fallback`` policy a resource
-  failure moves down the paper-faithful ladder DF → hybrid → BF (the
-  parallel checker falls back to BF; RUP proofs have no resolution trace
-  to re-check, so they get budgets only). For trace files at or above
-  ``streaming_threshold_bytes`` the final BF rung is replaced by the
-  shifting-window streaming checker
+  failure moves down the paper-faithful ladder DF → hybrid → BF (RUP and
+  DRAT proofs have no resolution trace to re-check, so they get budgets
+  only). For trace files at or above ``streaming_threshold_bytes`` the
+  final BF rung is replaced by the shifting-window streaming checker
   (:class:`~repro.checker.streaming.StreamingWindowChecker`), whose
   bounded window spills to disk instead of memory-outing — the ladder's
   never-memory-out floor. ``strict`` runs exactly one attempt. The
-  ladder is recorded in ``CheckReport.degradation``.
-* **Worker-crash recovery** — delegated to
-  :class:`~repro.checker.parallel.ParallelWindowedChecker`: per-window
-  timeouts, fresh-pool retries and in-process re-assignment, with
-  ``FailureKind.WORKER_CRASH`` only after every layer is exhausted.
+  ladder is recorded in ``CheckReport.degradation``. An attempt that
+  blows up (the ``supervisor.attempt`` fault point) is a
+  ``FailureKind.WORKER_CRASH`` and degrades like a resource failure.
 * **Checkpoint/resume** — BF attempts can snapshot their streaming state
   every N learned clauses and restart from the last snapshot
   (``repro check --resume``), so an interrupted multi-hour check does not
@@ -49,7 +46,6 @@ from repro.checker.depth_first import DepthFirstChecker
 from repro.checker.errors import CheckFailure, FailureKind
 from repro.checker.hybrid import HybridChecker
 from repro.checker.memory import Deadline
-from repro.checker.parallel import ParallelWindowedChecker
 from repro.checker.report import CheckReport
 from repro.checker.rup import RupChecker
 from repro.checker.streaming import StreamingWindowChecker
@@ -76,7 +72,6 @@ LADDERS: dict[str, tuple[str, ...]] = {
     "df": ("df", "hybrid", "bf"),
     "hybrid": ("hybrid", "bf"),
     "bf": ("bf",),
-    "parallel": ("parallel", "bf"),
     "rup": ("rup",),
     "drat": ("drat",),
     "streaming": ("streaming",),
@@ -127,7 +122,6 @@ class Attempt:
     outcome: str  # "verified" | a FailureKind value
     elapsed: float
     detail: str = ""
-    recovery_events: int = 0
     pruned: bool = False  # did this attempt run under a prune plan?
     memory: dict | None = None  # the rung's resident-memory high-water marks
 
@@ -139,8 +133,6 @@ class Attempt:
         }
         if self.detail:
             entry["detail"] = self.detail
-        if self.recovery_events:
-            entry["recovery_events"] = self.recovery_events
         if self.pruned:
             entry["pruned"] = True
         if self.memory is not None:
@@ -156,10 +148,6 @@ class SupervisorConfig:
     policy: CheckPolicy = field(default_factory=lambda: FALLBACK)
     timeout: float | None = None  # wall-clock seconds, per attempt
     memory_limit: int | None = None  # logical units (see repro.checker.memory)
-    max_retries: int = 1  # parallel: fresh-pool retry rounds per window
-    window_timeout: float | None = None  # parallel: per-window watchdog
-    num_workers: int = 2  # parallel only
-    window_size: int | None = None  # parallel only
     use_kernel: bool = True
     precheck: bool = False
     count_chunk_size: int | None = None  # bf + streaming
@@ -174,7 +162,6 @@ class SupervisorConfig:
     checkpoint_every: int = 0  # bf only: learned builds between snapshots
     resume_from: str | None = None  # bf only
     tmp_dir: str | None = None
-    inprocess_fallback: bool = True  # parallel: re-assign crashed windows
     # Core-first pruning: compute a static PrunePlan from the trace once
     # and hand it to every rung of the ladder. A trace the analyzer finds
     # structurally suspect yields no plan — the check runs unpruned, so
@@ -332,7 +319,6 @@ class CheckSupervisor:
                 outcome=outcome,
                 elapsed=time.perf_counter() - started,
                 detail=detail,
-                recovery_events=len(report.recovery or ()),
                 pruned=report.prune is not None,
                 memory=report.memory,
             )
@@ -387,18 +373,6 @@ class CheckSupervisor:
                 checkpoint_path=config.checkpoint_path,
                 checkpoint_every=config.checkpoint_every,
                 resume_from=config.resume_from,
-                **common,
-            )
-        if method == "parallel":
-            return ParallelWindowedChecker(
-                self.formula,
-                self._source,
-                num_workers=config.num_workers,
-                window_size=config.window_size,
-                tmp_dir=config.tmp_dir,
-                window_timeout=config.window_timeout,
-                max_retries=config.max_retries,
-                inprocess_fallback=config.inprocess_fallback,
                 **common,
             )
         if method == "streaming":

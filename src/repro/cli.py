@@ -17,7 +17,6 @@ from repro.checker import (
     BreadthFirstChecker,
     DepthFirstChecker,
     HybridChecker,
-    ParallelWindowedChecker,
     RupChecker,
     check_model,
 )
@@ -111,6 +110,26 @@ _CHECKERS = {
 #: Trace-replaying methods --proof-format trace is compatible with.
 _TRACE_METHODS = ("df", "bf", "hybrid", "streaming")
 
+#: Lowest accepted value per numeric check flag (argparse dest). Anything
+#: below is a usage error here, not a ValueError inside a checker or a
+#: failed job inside a service worker.
+_FLAG_MINIMUMS = {
+    "timeout": 0,
+    "mem_limit": 0,
+    "memory_window": 0,
+    "window_records": 1,
+    "checkpoint_every": 1,
+}
+
+
+def _check_flag_minimums(parser, args) -> None:
+    """``parser.error`` (exit 2) on any numeric flag below its minimum."""
+    for dest, minimum in _FLAG_MINIMUMS.items():
+        value = getattr(args, dest, None)
+        if value is not None and value < minimum:
+            flag = "--" + dest.replace("_", "-")
+            parser.error(f"{flag} must be at least {minimum}, got {value}")
+
 
 def _resolve_proof_source(parser, method: str, proof_format: str, proof_path: str):
     """Resolve (--method, --proof-format) into the method actually run.
@@ -187,22 +206,6 @@ def check_main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--show-core", action="store_true", help="print the unsat core (df/hybrid)")
     parser.add_argument(
-        "--parallel",
-        type=int,
-        default=None,
-        metavar="N",
-        help="verify clause-ID windows across N worker processes "
-        "(overrides --method; 1 runs the windowed checker in-process)",
-    )
-    parser.add_argument(
-        "--window-size",
-        type=int,
-        default=None,
-        metavar="W",
-        help="learned records per window for --parallel "
-        "(default: one window per worker)",
-    )
-    parser.add_argument(
         "--precheck",
         action="store_true",
         help="run the static trace linter first and fail fast on structural "
@@ -237,14 +240,14 @@ def check_main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="core-first pruning: compute the static backward-reachable "
         "cone and skip statically dead lemmas during the check "
-        "(df/bf/hybrid/parallel; the verdict is guaranteed unchanged)",
+        "(df/bf/hybrid/streaming; the verdict is guaranteed unchanged)",
     )
     parser.add_argument(
         "--engine",
         default="kernel",
         choices=["kernel", "reference"],
         help="resolution engine: the marking-array kernel (default) or the "
-        "frozenset reference oracle (df/bf/hybrid/parallel)",
+        "frozenset reference oracle (df/bf/hybrid/streaming)",
     )
     parser.add_argument(
         "--profile",
@@ -295,24 +298,8 @@ def check_main(argv: list[str] | None = None) -> int:
         default=None,
         choices=["strict", "fallback"],
         help="strict: run the requested checker once; fallback: degrade "
-        "df -> hybrid -> bf (parallel -> bf) on memory-out / timeout / "
-        "worker-crash, recording the ladder in the report",
-    )
-    resilience.add_argument(
-        "--max-retries",
-        type=int,
-        default=None,
-        metavar="K",
-        help="fresh-pool retry rounds for crashed or hung parallel "
-        "windows before in-process re-assignment (default 1)",
-    )
-    resilience.add_argument(
-        "--window-timeout",
-        type=float,
-        default=None,
-        metavar="S",
-        help="per-window watchdog for --parallel: a window past its "
-        "budget has its pool killed and is retried",
+        "df -> hybrid -> bf on memory-out / timeout / worker-crash, "
+        "recording the ladder in the report",
     )
     resilience.add_argument(
         "--streaming-threshold",
@@ -346,6 +333,7 @@ def check_main(argv: list[str] | None = None) -> int:
         "snapshot does not match)",
     )
     args = parser.parse_args(argv)
+    _check_flag_minimums(parser, args)
 
     args.method, resolved_format = _resolve_proof_source(
         parser, args.method, args.proof_format, args.proof
@@ -360,27 +348,15 @@ def check_main(argv: list[str] | None = None) -> int:
             f"--precheck lints resolution traces; not applicable to "
             f"--method {args.method}"
         )
-    if args.prune and args.method in ("rup", "drat") and args.parallel is None:
+    if args.prune and args.method in ("rup", "drat"):
         hint = " (for DRAT, --backward is the clausal analogue)" if args.method == "drat" else ""
         parser.error(
             f"--prune needs a resolution trace to analyze; "
             f"not --method {args.method}{hint}"
         )
-    if args.parallel is not None and args.parallel < 1:
-        parser.error("--parallel needs at least one worker")
-    if args.window_size is not None and args.parallel is None:
-        parser.error("--window-size only applies with --parallel")
     if args.checkpoint_every is not None and not args.checkpoint:
         parser.error("--checkpoint-every needs --checkpoint PATH")
-    if args.window_timeout is not None and args.parallel is None:
-        parser.error("--window-timeout only applies with --parallel")
-    if args.parallel is not None and args.method in ("rup", "drat"):
-        parser.error(
-            f"--parallel verifies resolution traces; not --method {args.method}"
-        )
     if args.stream:
-        if args.parallel is not None:
-            parser.error("--stream and --parallel are different checkers; pick one")
         if args.method not in ("df", "streaming"):
             parser.error(f"--stream conflicts with --method {args.method}")
         args.method = "streaming"
@@ -404,18 +380,9 @@ def check_main(argv: list[str] | None = None) -> int:
         )
     supervised = any(
         value is not None
-        for value in (
-            args.timeout,
-            args.policy,
-            args.max_retries,
-            args.window_timeout,
-            args.checkpoint,
-            args.resume,
-        )
+        for value in (args.timeout, args.policy, args.checkpoint, args.resume)
     )
-    if supervised and args.resume and (args.method != "bf" or args.parallel is not None):
-        if args.parallel is not None:
-            parser.error("--resume restarts a breadth-first check; not --parallel")
+    if args.resume:
         args.method = "bf"
     if args.refresh and not args.cache:
         parser.error("--refresh only applies with --cache DIR")
@@ -432,9 +399,8 @@ def check_main(argv: list[str] | None = None) -> int:
         from repro.service import ServiceClient, VerdictCache
 
         client = ServiceClient(cache=VerdictCache(args.cache), refresh=args.refresh)
-        method = "parallel" if args.parallel is not None else args.method
         options = dict(
-            method=method,
+            method=args.method,
             policy=args.policy or "strict",
             timeout=args.timeout,
             memory_limit=args.mem_limit,
@@ -449,12 +415,6 @@ def check_main(argv: list[str] | None = None) -> int:
             options["proof_format"] = resolved_format
             if args.backward:
                 options["backward"] = True
-        if args.parallel is not None:
-            options.update(num_workers=args.parallel, window_size=args.window_size)
-        if args.max_retries is not None:
-            options["max_retries"] = args.max_retries
-        if args.window_timeout is not None:
-            options["window_timeout"] = args.window_timeout
         if args.memory_window is not None:
             options["memory_window"] = args.memory_window
         if args.window_records is not None:
@@ -469,18 +429,13 @@ def check_main(argv: list[str] | None = None) -> int:
     elif supervised:
         from repro.checker import CheckSupervisor
 
-        method = "parallel" if args.parallel is not None else args.method
         checker = CheckSupervisor(
             formula,
             args.proof,
-            method=method,
+            method=args.method,
             policy=args.policy or "strict",
             timeout=args.timeout,
             memory_limit=args.mem_limit,
-            max_retries=args.max_retries if args.max_retries is not None else 1,
-            window_timeout=args.window_timeout,
-            num_workers=args.parallel or 2,
-            window_size=args.window_size,
             use_kernel=use_kernel,
             precheck=args.precheck,
             checkpoint_path=args.checkpoint,
@@ -509,18 +464,7 @@ def check_main(argv: list[str] | None = None) -> int:
                     "checking unpruned",
                     file=sys.stderr,
                 )
-        if args.parallel is not None:
-            checker = ParallelWindowedChecker(
-                formula,
-                args.proof,
-                num_workers=args.parallel,
-                window_size=args.window_size,
-                memory_limit=args.mem_limit,
-                precheck=args.precheck,
-                use_kernel=use_kernel,
-                prune_plan=prune_plan,
-            )
-        elif args.method == "df":
+        if args.method == "df":
             checker = DepthFirstChecker(
                 formula,
                 load_trace(args.proof),
@@ -597,31 +541,14 @@ def check_main(argv: list[str] | None = None) -> int:
             if attempt.get("detail"):
                 line += f" [{attempt['detail']}]"
             print(line)
-    if report.recovery:
-        for event in report.recovery:
-            parts = [f"c recovery: {event['event']} window {event['window']}"]
-            if "round" in event:
-                parts.append(f"round {event['round']}")
-            if "reason" in event:
-                parts.append(event["reason"])
-            print(" | ".join(parts))
-    if report.window_stats:
-        for stat in report.window_stats:
-            if "resident_units" in stat:
-                # Streaming checker: one shifting-window position per entry.
-                print(
-                    f"c window {stat['window']}: {stat['records']} records, "
-                    f"built {stat['built']} | resident {stat['resident_units']} "
-                    f"units / {stat['resident_clauses']} clauses | "
-                    f"spilled {stat['spilled']}"
-                )
-            else:
-                print(
-                    f"c window {stat['window']}: built {stat['clauses_built']} "
-                    f"(+{stat['import_builds']} interface) | "
-                    f"imports {stat['num_imports']} exports {stat['num_exports']} | "
-                    f"peak {stat['peak_units']} units"
-                )
+    # Streaming checker: one shifting-window position per entry.
+    for stat in report.window_stats or ():
+        print(
+            f"c window {stat['window']}: {stat['records']} records, "
+            f"built {stat['built']} | resident {stat['resident_units']} "
+            f"units / {stat['resident_clauses']} clauses | "
+            f"spilled {stat['spilled']}"
+        )
     if report.verified and args.show_core and report.original_core is not None:
         print("c core clause ids: " + " ".join(map(str, sorted(report.original_core))))
     return 0 if report.verified else 1
@@ -852,8 +779,6 @@ def serve_main(argv: list[str] | None = None) -> int:
                              "(default: all shards)")
     parser.add_argument("--metrics-interval", type=float, default=2.0, metavar="S",
                         help="minimum seconds between metrics snapshots (default 2)")
-    parser.add_argument("--exec-mode", choices=("process", "thread"), default="process",
-                        help="worker execution layer (default: pre-forked processes)")
     parser.add_argument("--max-job-attempts", type=int, default=None, metavar="N",
                         help="crashes/timeouts before a job is quarantined to "
                              "jobs/dead (default 3)")
@@ -897,7 +822,6 @@ def serve_main(argv: list[str] | None = None) -> int:
         num_shards=args.shards,
         owned_shards=owned,
         metrics_interval=args.metrics_interval,
-        exec_mode=args.exec_mode,
         **extra,
     )
     if daemon.store.requeued_on_replay:
@@ -967,6 +891,7 @@ def submit_main(argv: list[str] | None = None) -> int:
         help="streaming: records decoded per window batch",
     )
     args = parser.parse_args(argv)
+    _check_flag_minimums(parser, args)
 
     from repro.service import submit_job
 

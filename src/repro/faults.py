@@ -38,7 +38,7 @@ Fields:
             counted per process).
 ``repeat``  ``1`` keeps firing on every hit from ``after`` on
             (default: one-shot).
-``key``     only hits carrying this key count (e.g. a window index or a
+``key``     only hits carrying this key count (e.g. a method name or a
             journal event name), so a plan can target "the append of the
             DONE record" rather than "some append".
 ``arg``     numeric argument: seconds for ``hang``/``slow``; for
@@ -46,16 +46,11 @@ Fields:
             let through (default: half).
 ``then``    for ``torn``: ``kill`` (default) or ``raise``.
 ``token``   path to a token file; the entry fires only if it wins
-            ``os.unlink`` of that file — the cross-process one-shot the
-            legacy hooks used (N forked workers, exactly one fault).
+            ``os.unlink`` of that file — a cross-process one-shot (N
+            forked workers, exactly one fault).
 ``mark``    path touched just before the fault executes, so a drill can
             assert the fault genuinely fired (and not that the scenario
             silently missed the instrumented path).
-
-The two legacy env hooks — ``REPRO_CHECK_FAULT`` (parallel-checker
-window kill/hang) and ``REPRO_POOL_FAULT_FILE`` (service pool worker
-kill) — are translated into plan entries at parse time, so old drills
-keep working while new call sites only ever talk to this module.
 """
 
 from __future__ import annotations
@@ -69,10 +64,6 @@ from dataclasses import dataclass, field
 
 #: The unified plan environment variable.
 PLAN_ENV = "REPRO_FAULT_PLAN"
-
-#: Legacy hooks, kept as deprecated aliases (translated into plan entries).
-LEGACY_CHECK_FAULT_ENV = "REPRO_CHECK_FAULT"
-LEGACY_POOL_FAULT_ENV = "REPRO_POOL_FAULT_FILE"
 
 KINDS = frozenset({"kill", "raise", "hang", "torn", "enospc", "slow"})
 
@@ -169,10 +160,10 @@ def parse_spec(text: str) -> FaultSpec:
 
 @dataclass
 class FaultPlan:
-    """Every armed fault entry, plus the raw env strings it came from."""
+    """Every armed fault entry, plus the raw env string it came from."""
 
     specs: list[FaultSpec] = field(default_factory=list)
-    source: tuple[str | None, str | None, str | None] = (None, None, None)
+    source: str | None = None
 
     @classmethod
     def parse(cls, text: str) -> "FaultPlan":
@@ -181,42 +172,15 @@ class FaultPlan:
 
     @classmethod
     def from_environ(cls) -> "FaultPlan":
-        """The env-configured plan, legacy hooks translated in."""
+        """The plan configured by ``REPRO_FAULT_PLAN``."""
         raw = os.environ.get(PLAN_ENV)
-        legacy_check = os.environ.get(LEGACY_CHECK_FAULT_ENV)
-        legacy_pool = os.environ.get(LEGACY_POOL_FAULT_ENV)
         plan = cls.parse(raw) if raw else cls()
-        if legacy_check:
-            plan.specs.append(_translate_legacy_check(legacy_check))
-        if legacy_pool:
-            # The token file *is* the switch: each task start tries the
-            # unlink, exactly one worker process wins it and dies.
-            plan.specs.append(
-                FaultSpec(
-                    point="pool.task.start", kind="kill",
-                    token=legacy_pool, repeat=True,
-                )
-            )
-        plan.source = (raw, legacy_check, legacy_pool)
+        plan.source = raw
         return plan
 
     @property
     def empty(self) -> bool:
         return not self.specs
-
-
-def _translate_legacy_check(spec: str) -> FaultSpec:
-    """``REPRO_CHECK_FAULT="<kill|hang>:<window>:<token>[:secs]"`` →
-    a key-gated entry on the parallel checker's window fault point."""
-    parts = spec.split(":")
-    mode, window, token = parts[0], parts[1], parts[2]
-    if mode not in ("kill", "hang"):
-        raise ValueError(f"unknown {LEGACY_CHECK_FAULT_ENV} mode {mode!r}")
-    arg = float(parts[3]) if mode == "hang" and len(parts) > 3 else None
-    return FaultSpec(
-        point="parallel.window", kind=mode, key=window,
-        token=token, arg=arg, repeat=True,
-    )
 
 
 # -- the active plan -----------------------------------------------------------
@@ -228,37 +192,26 @@ _installed: FaultPlan | None = None  # programmatic override (tests)
 # The plane is permanent instrumentation on every journal append and cache
 # write, so the unarmed probe must be nanoseconds, not microseconds.
 # ``os.environ.get`` costs a raised-and-caught KeyError per absent var
-# (Mapping.get over _Environ.__getitem__); three of those per fault point
-# added ~4us per hit. Probe the backing dict with pre-encoded keys
-# instead — same source of truth (monkeypatch and putenv both mutate it),
-# no exceptions. Falls back to plain gets off CPython.
+# (Mapping.get over _Environ.__getitem__) on every fault point. Probe the
+# backing dict with the pre-encoded key instead — same source of truth
+# (monkeypatch and putenv both mutate it), no exceptions. Falls back to a
+# plain get off CPython.
 try:
     _ENV_DATA: dict | None = os.environ._data  # type: ignore[attr-defined]
-    _ENV_KEYS = tuple(
-        os.environ.encodekey(name)  # type: ignore[attr-defined]
-        for name in (PLAN_ENV, LEGACY_CHECK_FAULT_ENV, LEGACY_POOL_FAULT_ENV)
-    )
+    _ENV_KEY = os.environ.encodekey(PLAN_ENV)  # type: ignore[attr-defined]
 except AttributeError:  # pragma: no cover - non-CPython environ internals
     _ENV_DATA = None
-    _ENV_KEYS = ()
+    _ENV_KEY = None
 
 
 def _unarmed() -> bool:
-    """True when no override is installed and no fault env var is set."""
+    """True when no override is installed and the plan env var is unset."""
     if _installed is not None:
         return False
     data = _ENV_DATA
     if data is not None:
-        return (
-            _ENV_KEYS[0] not in data
-            and _ENV_KEYS[1] not in data
-            and _ENV_KEYS[2] not in data
-        )
-    return (
-        os.environ.get(PLAN_ENV) is None
-        and os.environ.get(LEGACY_CHECK_FAULT_ENV) is None
-        and os.environ.get(LEGACY_POOL_FAULT_ENV) is None
-    )
+        return _ENV_KEY not in data
+    return os.environ.get(PLAN_ENV) is None
 
 
 def install_plan(plan: FaultPlan | str | None) -> FaultPlan | None:
@@ -275,9 +228,9 @@ def install_plan(plan: FaultPlan | str | None) -> FaultPlan | None:
 def active_plan() -> FaultPlan | None:
     """The plan in force, or ``None`` when no fault is armed.
 
-    Env-derived plans are re-parsed whenever any of the three source env
-    vars changes — hit counters live in the parsed specs, so a stable env
-    keeps its counters across calls within one process.
+    Env-derived plans are re-parsed whenever ``REPRO_FAULT_PLAN`` changes —
+    hit counters live in the parsed specs, so a stable env keeps its
+    counters across calls within one process.
     """
     global _plan
     if _unarmed():
@@ -288,12 +241,8 @@ def active_plan() -> FaultPlan | None:
     with _lock:
         if _installed is not None:
             return _installed
-        source = (
-            os.environ.get(PLAN_ENV),
-            os.environ.get(LEGACY_CHECK_FAULT_ENV),
-            os.environ.get(LEGACY_POOL_FAULT_ENV),
-        )
-        if source == (None, None, None):  # disarmed while we acquired
+        source = os.environ.get(PLAN_ENV)
+        if source is None:  # disarmed while we acquired
             _plan = None
             return None
         if _plan is None or _plan.source != source:
@@ -359,7 +308,7 @@ def _torn_length(spec: FaultSpec, total: int) -> int:
 def fault_point(name: str, key: object = None) -> None:
     """Hit the fault point ``name``; a no-op unless an armed entry matches.
 
-    ``key`` labels this particular hit (a window index, a journal event
+    ``key`` labels this particular hit (a method name, a journal event
     name) so plans can target it via their ``key=`` field.
     """
     if _unarmed():

@@ -59,7 +59,7 @@ from repro.service.jobs import (
     shard_of,
 )
 from repro.service.metrics import MetricsRegistry, load_snapshot, render_snapshot
-from repro.service.pool import ThreadWorkerPool, WorkerPool
+from repro.service.pool import WorkerPool
 from repro.service.scheduler import Scheduler
 
 __all__ = [
@@ -92,6 +92,5 @@ __all__ = [
     "load_snapshot",
     "render_snapshot",
     "WorkerPool",
-    "ThreadWorkerPool",
     "Scheduler",
 ]

@@ -267,7 +267,3 @@ class ServiceClient:
         if len(attempts) > 1:
             self.metrics.inc("supervisor.degradations")
             self.metrics.inc("supervisor.ladder_rungs", len(attempts) - 1)
-        for event in report.recovery or ():
-            self.metrics.inc("worker.recovery_events")
-            if event.get("event") in ("retry", "retries-exhausted"):
-                self.metrics.inc("worker.crashes")

@@ -268,7 +268,6 @@ class CheckDaemon:
         owned_shards: list[int] | None = None,
         metrics_interval: float = DEFAULT_METRICS_INTERVAL_S,
         cache_batch: int = DEFAULT_CACHE_BATCH,
-        exec_mode: str = "process",
         max_job_attempts: int = DEFAULT_MAX_JOB_ATTEMPTS,
         task_timeout: float | None = None,
         heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL_S,
@@ -294,8 +293,7 @@ class CheckDaemon:
         )
         self.scheduler = Scheduler(
             self.store, self.client, num_workers=num_workers,
-            results_dir=self.layout.results, mode=exec_mode,
-            task_timeout=task_timeout,
+            results_dir=self.layout.results, task_timeout=task_timeout,
         )
         self.poll_interval = poll_interval
         self.metrics_interval = metrics_interval

@@ -27,8 +27,7 @@ from repro.trace.records import Trace
 #: Option names whose values feed the cache key. Anything else (profiling,
 #: checkpoint paths, worker counts) changes *how* a verdict is computed,
 #: not *what* it says — two runs differing only in those must share a
-#: cache line. num_workers/window_size are included because the parallel
-#: checker's window_stats payload depends on them.
+#: cache line.
 KEYED_OPTIONS = (
     "method",
     "policy",
@@ -36,14 +35,12 @@ KEYED_OPTIONS = (
     "memory_limit",
     "use_kernel",
     "precheck",
-    "num_workers",
-    "window_size",
     # Pruning changes the report's content (prune stats, clauses_built), so
     # pruned and unpruned verdicts must occupy distinct cache lines even
     # though the verdict itself is guaranteed identical.
     "prune",
     # The streaming checker's window_stats and memory payloads depend on
-    # both of these, same rationale as num_workers/window_size above.
+    # both of these, so they are keyed like prune above.
     "memory_window",
     "window_records",
     # DRAT proofs: backward (core-first) checking changes the report's

@@ -1,16 +1,13 @@
 """The persistent pre-forked checking worker pool.
 
-The PR 5 scheduler ran CPU-bound resolution checks on ``threading.Thread``
-workers — serialized by the GIL, so adding workers made the service
-*slower*. This module is the replacement execution layer: long-lived
-worker **processes**, forked once at pool start, that receive tasks over
-pipes and stream results back. The parent never computes a verdict; it
-only routes.
+The service's execution layer: long-lived worker **processes**, forked
+once at pool start, that receive tasks over pipes and stream results
+back. The parent never computes a verdict; it only routes.
 
-Three properties the thread layer could not offer:
+Three properties worker threads could not offer:
 
 * **real parallelism** — each worker is its own interpreter, so N workers
-  use N cores (jobs/s scales with cores instead of degrading);
+  use N cores (threads would serialize CPU-bound checks on the GIL);
 * **warm state** — a worker keeps decoded formulas, materialized traces
   and interned :class:`~repro.checker.store.ClauseStore`\\ s cached across
   jobs, keyed by content fingerprint. Checking ten proofs against one
@@ -19,12 +16,11 @@ Three properties the thread layer could not offer:
 * **crash survival** — the parent waits on each worker's process sentinel
   alongside its pipe, so a SIGKILLed worker is detected immediately, its
   in-flight task is retried on a freshly forked replacement (bounded by
-  ``max_task_retries``), and only exhaustion surfaces as a failure —
-  the same supervision discipline PR 4's watchdog gave the parallel
-  checker, applied to the service fleet.
+  ``max_task_retries``), and only exhaustion surfaces as a failure.
 
-:class:`ThreadWorkerPool` keeps the same interface on threads for
-platforms without ``fork`` and for apples-to-apples GIL benchmarks.
+Workers are forked where the platform has ``fork`` and started with the
+platform's default method elsewhere. There is no thread mode: a ``kill``
+fault in a thread worker would take the whole daemon down.
 """
 
 from __future__ import annotations
@@ -57,12 +53,6 @@ DEFAULT_STORE_ENTRY_BOUND = 500_000
 #: How often an idle worker interrupts its pipe wait to check that its
 #: parent is still alive (seconds).
 PARENT_POLL_S = 1.0
-
-#: Deprecated alias, kept importable for old drills: a path in this env
-#: var makes the next worker that starts a task unlink the file and
-#: SIGKILL itself. It is now translated into a ``pool.task.start`` fault
-#: plan entry by :mod:`repro.faults` — prefer ``REPRO_FAULT_PLAN``.
-FAULT_FILE_ENV = faults.LEGACY_POOL_FAULT_ENV
 
 FP_TASK_START = faults.register_fault_point(
     "pool.task.start",
@@ -231,10 +221,10 @@ def _worker_main(name: str, conn, warm_config: tuple) -> None:
             break
         if task is None:
             break
-        # Worker-side fault point (the legacy REPRO_POOL_FAULT_FILE hook
-        # lands here as a token-gated kill entry). A raise-kind fault is a
-        # crash the worker loop does not survive — exactly like a kill,
-        # but visible to coverage-style in-process drills.
+        # Worker-side fault point; a token-gated kill entry here is the
+        # one-worker SIGKILL drill. A raise-kind fault is a crash the
+        # worker loop does not survive — exactly like a kill, but visible
+        # to coverage-style in-process drills.
         faults.fault_point(FP_TASK_START, key=task.get("job_id"))
         result = _execute_task(task, warm)
         try:
@@ -538,94 +528,3 @@ class WorkerPool:
             self.result_handler(result)
         except Exception:  # noqa: BLE001 - the collector must survive handlers
             self.metrics.inc("pool.result_handler_errors")
-
-
-class ThreadWorkerPool:
-    """The same pool interface on threads (GIL-bound; comparison/fallback).
-
-    Each thread owns a private :class:`_WarmCache`, so warm stores are
-    never shared across concurrently running checks.
-    """
-
-    def __init__(
-        self,
-        num_workers: int,
-        result_handler,
-        metrics: MetricsRegistry | None = None,
-        warm_formulas: int = DEFAULT_WARM_FORMULAS,
-        warm_traces: int = DEFAULT_WARM_TRACES,
-        store_entry_bound: int = DEFAULT_STORE_ENTRY_BOUND,
-        **_: object,
-    ) -> None:
-        if num_workers < 1:
-            raise ValueError("need at least one worker")
-        self.num_workers = num_workers
-        self.result_handler = result_handler
-        self.metrics = metrics or MetricsRegistry()
-        self._warm_config = (warm_formulas, warm_traces, store_entry_bound)
-        self._lock = threading.Lock()
-        self._idle = 0
-        self._threads: list[threading.Thread] = []
-        self._queue: list[dict] = []
-        self._queue_cond = threading.Condition(self._lock)
-        self._stopping = False
-
-    def start(self) -> None:
-        if self._threads:
-            raise RuntimeError("pool already started")
-        set_warm_store_provider(_registry_provider)
-        self._stopping = False
-        self._idle = self.num_workers
-        for index in range(self.num_workers):
-            thread = threading.Thread(
-                target=self._worker_loop, name=f"pool-thread-{index}", daemon=True
-            )
-            thread.start()
-            self._threads.append(thread)
-
-    def stop(self, grace_s: float = 5.0) -> None:
-        with self._queue_cond:
-            self._stopping = True
-            self._queue_cond.notify_all()
-        for thread in self._threads:
-            thread.join(timeout=grace_s)
-        self._threads = []
-
-    def submit(self, task: dict) -> bool:
-        with self._queue_cond:
-            if self._idle - len(self._queue) <= 0:
-                return False
-            self._queue.append(task)
-            self._queue_cond.notify()
-            return True
-
-    @property
-    def idle_workers(self) -> int:
-        with self._lock:
-            return max(0, self._idle - len(self._queue))
-
-    def has_idle(self) -> bool:
-        return self.idle_workers > 0
-
-    def worker_pids(self) -> list[int]:
-        return []
-
-    def _worker_loop(self) -> None:
-        warm = _WarmCache(*self._warm_config)
-        while True:
-            with self._queue_cond:
-                while not self._queue and not self._stopping:
-                    self._queue_cond.wait(timeout=0.2)
-                if self._stopping and not self._queue:
-                    return
-                task = self._queue.pop(0)
-                self._idle -= 1
-            try:
-                result = _execute_task(task, warm)
-            finally:
-                with self._lock:
-                    self._idle += 1
-            try:
-                self.result_handler(result)
-            except Exception:  # noqa: BLE001
-                self.metrics.inc("pool.result_handler_errors")

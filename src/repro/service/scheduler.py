@@ -35,7 +35,7 @@ from repro.checker.report import REPORT_SCHEMA_VERSION, CheckReport
 
 from repro.service.client import ServiceClient
 from repro.service.jobs import Job, fsync_dir
-from repro.service.pool import ThreadWorkerPool, WorkerPool
+from repro.service.pool import WorkerPool
 
 FP_CLAIM = faults.register_fault_point(
     "scheduler.claim",
@@ -55,10 +55,6 @@ ALLOWED_JOB_OPTIONS = frozenset(
         "policy",
         "timeout",
         "memory_limit",
-        "max_retries",
-        "window_timeout",
-        "num_workers",
-        "window_size",
         "use_kernel",
         "precheck",
         "count_chunk_size",
@@ -85,19 +81,15 @@ class Scheduler:
         client: ServiceClient,
         num_workers: int = 2,
         results_dir: str | Path | None = None,
-        mode: str = "process",
         max_task_retries: int = 1,
         task_timeout: float | None = None,
     ) -> None:
         if num_workers < 1:
             raise ValueError("need at least one worker")
-        if mode not in ("process", "thread"):
-            raise ValueError(f"unknown scheduler mode: {mode!r}")
         self.store = store
         self.client = client
         self.metrics = client.metrics
         self.num_workers = num_workers
-        self.mode = mode
         self.max_task_retries = max_task_retries
         self.task_timeout = task_timeout
         self.results_dir = Path(results_dir) if results_dir is not None else None
@@ -107,7 +99,7 @@ class Scheduler:
         self._inflight: dict[str, tuple[Job, dict | None, float]] = {}
         self._stop = threading.Event()
         self._dispatcher: threading.Thread | None = None
-        self.pool: WorkerPool | ThreadWorkerPool | None = None
+        self.pool: WorkerPool | None = None
         if hasattr(store, "add_listener"):
             store.add_listener(self.notify)
 
@@ -124,9 +116,8 @@ class Scheduler:
         if self._dispatcher is not None:
             raise RuntimeError("scheduler already started")
         self._stop.clear()
-        pool_cls = WorkerPool if self.mode == "process" else ThreadWorkerPool
         # Fork the pool before the dispatcher thread exists (fork safety).
-        self.pool = pool_cls(
+        self.pool = WorkerPool(
             self.num_workers,
             self._handle_result,
             metrics=self.metrics,

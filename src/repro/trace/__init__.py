@@ -35,12 +35,6 @@ from repro.trace.io import (
 from repro.trace.fingerprint import sha256_file, sha256_text, trace_content_hash
 from repro.trace.stats import TraceStatistics, analyze_trace
 from repro.trace.trim import TrimResult, trim_trace, write_trimmed
-from repro.trace.windows import (
-    WindowSpec,
-    WindowPlan,
-    plan_windows,
-    iter_window_records,
-)
 
 __all__ = [
     "TraceHeader",
@@ -69,8 +63,4 @@ __all__ = [
     "TrimResult",
     "trim_trace",
     "write_trimmed",
-    "WindowSpec",
-    "WindowPlan",
-    "plan_windows",
-    "iter_window_records",
 ]

@@ -14,7 +14,6 @@ keeps most varints short on real traces.
 from __future__ import annotations
 
 import mmap
-from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Iterator
 
@@ -62,47 +61,6 @@ def encode_varint(value: int) -> bytes:
         else:
             out.append(byte)
             return bytes(out)
-
-
-def decode_varint(read: "_ByteReader") -> int:
-    """Decode one LEB128 varint from a byte reader."""
-    shift = 0
-    result = 0
-    while True:
-        byte = read.next_byte()
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result
-        shift += 7
-        if shift > 63:
-            raise TraceError("varint too long")
-
-
-class _ByteReader:
-    """Buffered byte-at-a-time reader over a binary stream."""
-
-    def __init__(self, handle: IO[bytes], chunk_size: int = 1 << 16):
-        self._handle = handle
-        self._chunk_size = chunk_size
-        self._buffer = b""
-        self._pos = 0
-
-    def next_byte(self) -> int:
-        if self._pos >= len(self._buffer):
-            self._buffer = self._handle.read(self._chunk_size)
-            self._pos = 0
-            if not self._buffer:
-                raise TraceError("unexpected end of binary trace")
-        byte = self._buffer[self._pos]
-        self._pos += 1
-        return byte
-
-    def at_eof(self) -> bool:
-        if self._pos < len(self._buffer):
-            return False
-        self._buffer = self._handle.read(self._chunk_size)
-        self._pos = 0
-        return not self._buffer
 
 
 class BinaryTraceWriter:
@@ -167,63 +125,7 @@ class BinaryTraceWriter:
         self.close()
 
 
-def iter_binary_records_unbatched(path: str | Path) -> Iterator[TraceRecord]:
-    """Stream records from a binary trace file, one byte call at a time.
-
-    The original decoder: every byte goes through a ``next_byte()`` method
-    call. Kept as the reference implementation (and for the benchmark's
-    before/after comparison); :func:`iter_binary_records` batches instead.
-    """
-    with open(path, "rb") as handle:
-        if handle.read(len(MAGIC)) != MAGIC:
-            raise TraceError(f"{path}: not a binary trace (bad magic)")
-        reader = _ByteReader(handle)
-        while not reader.at_eof():
-            tag = reader.next_byte()
-            if tag == _TAG_HEADER:
-                yield TraceHeader(decode_varint(reader), decode_varint(reader))
-            elif tag == _TAG_LEARNED:
-                cid = decode_varint(reader)
-                count = decode_varint(reader)
-                sources = tuple(cid - decode_varint(reader) for _ in range(count))
-                yield LearnedClause(cid, sources)
-            elif tag == _TAG_LEVEL_ZERO:
-                packed = decode_varint(reader)
-                yield LevelZeroAssignment(packed >> 1, bool(packed & 1), decode_varint(reader))
-            elif tag == _TAG_FINAL_CONFLICT:
-                yield FinalConflict(decode_varint(reader))
-            elif tag == _TAG_DELETION:
-                yield ClauseDeletion(decode_varint(reader))
-            elif tag == _TAG_RESULT_SAT:
-                yield TraceResult("SAT")
-            elif tag == _TAG_RESULT_UNSAT:
-                yield TraceResult("UNSAT")
-            elif tag == _TAG_RESULT_UNKNOWN:
-                yield TraceResult("UNKNOWN")
-            else:
-                raise TraceError(f"unknown binary record tag {tag:#x}")
-
-
 DEFAULT_CHUNK_SIZE = 1 << 18
-
-# Module-level decoder selector so benchmarks can compare the legacy and
-# batched paths through the exact same call sites (checkers only ever call
-# iter_binary_records / iter_trace_records).
-_DECODER_MODE = "batched"
-
-
-@contextmanager
-def decoder_mode(mode: str) -> Iterator[None]:
-    """Temporarily force the binary decoder ("batched" or "legacy")."""
-    global _DECODER_MODE
-    if mode not in ("batched", "legacy"):
-        raise ValueError(f"unknown decoder mode {mode!r}")
-    previous = _DECODER_MODE
-    _DECODER_MODE = mode
-    try:
-        yield
-    finally:
-        _DECODER_MODE = previous
 
 
 def _decode_batched(
@@ -509,11 +411,6 @@ def iter_binary_records_raw(
     return _decode_batched(path, chunk_size, raw_learned=True)
 
 
-def active_decoder_mode() -> str:
-    """The currently selected binary decoder ("batched" or "legacy")."""
-    return _DECODER_MODE
-
-
 def _varint_at(buffer: bytes, pos: int) -> tuple[int, int]:
     """Decode one LEB128 varint at ``buffer[pos]``; returns (value, pos)."""
     byte = buffer[pos]
@@ -541,13 +438,8 @@ def _varint_tail(buffer: bytes, pos: int, first: int) -> tuple[int, int]:
 def iter_binary_records(
     path: str | Path, chunk_size: int = DEFAULT_CHUNK_SIZE
 ) -> Iterator[TraceRecord]:
-    """Stream records from a binary trace file (constant memory).
-
-    Decodes in buffered batches by default; :func:`decoder_mode` can force
-    the byte-at-a-time legacy path for comparison.
-    """
-    if _DECODER_MODE == "legacy":
-        return iter_binary_records_unbatched(path)
+    """Stream records from a binary trace file (constant memory), decoded
+    in buffered batches."""
     return _decode_batched(path, chunk_size)
 
 

@@ -1,174 +1,16 @@
-"""Clause-ID windowing of resolution traces.
+"""The shifting window the streaming checker drives over a trace.
 
-Shared between :mod:`repro.trace` (slicing a trace into contiguous
-clause-ID ranges) and :mod:`repro.checker.parallel` (verifying those
-ranges concurrently). The design follows the window-shifting idea for
-proof verification: a resolution proof ordered by clause ID can be split
-into contiguous windows, and each window's resolutions only ever look
-*backwards* — at original clauses, at clauses inside the window, or at
-*interface clauses* learned in an earlier window.
-
-A :class:`WindowPlan` partitions the learned records into windows of
-(roughly) equal record count, which balances replay work far better than
-equal ID spans when clause IDs are sparse.
-
-Two consumption modes exist on top of a plan:
-
-* :func:`iter_windowed_records` streams the trace **once** and yields
-  each window's learned records in order — the fix for the quadratic
-  pattern of calling :func:`iter_window_records` per window, which
-  restarts decoding from record 0 every time.
-* :class:`ShiftingWindow` is the mutable cursor the streaming checker
-  (:mod:`repro.checker.streaming`) drives while it advances over an
-  mmap'd trace: per-window counters plus a bounded stats log.
+The design follows the window-shifting idea for proof verification
+(Chen, "Fast Verifying Proofs of Propositional Unsatisfiability via
+Window Shifting"): a resolution proof ordered by clause ID only ever
+looks *backwards*, so a checker can advance a bounded window over the
+record stream and keep resident only what later records still need.
+:class:`ShiftingWindow` is the mutable cursor the streaming checker
+(:mod:`repro.checker.streaming`) drives while it advances over an
+mmap'd trace: per-window counters plus a bounded stats log.
 """
 
 from __future__ import annotations
-
-from bisect import bisect_right
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Iterator
-
-from repro.trace.io import iter_trace_records
-from repro.trace.records import LearnedClause, Trace, TraceRecord
-
-
-@dataclass(frozen=True)
-class WindowSpec:
-    """One contiguous clause-ID window ``[lo, hi)`` over learned clauses."""
-
-    index: int
-    lo: int  # first clause ID belonging to this window (inclusive)
-    hi: int  # one past the last clause ID belonging to this window
-    num_records: int  # learned records inside the window
-
-    def contains(self, cid: int) -> bool:
-        return self.lo <= cid < self.hi
-
-
-@dataclass(frozen=True)
-class WindowPlan:
-    """A complete partition of a trace's learned clause IDs into windows."""
-
-    num_original: int
-    windows: tuple[WindowSpec, ...]
-
-    def __len__(self) -> int:
-        return len(self.windows)
-
-    def window_of(self, cid: int) -> WindowSpec:
-        """The window owning learned clause ``cid`` (bisect on lower bounds)."""
-        if cid <= self.num_original:
-            raise ValueError(f"clause {cid} is an original clause, not windowed")
-        lows = [w.lo for w in self.windows]
-        pos = bisect_right(lows, cid) - 1
-        if pos < 0 or not self.windows[pos].contains(cid):
-            raise ValueError(f"clause {cid} falls outside every window")
-        return self.windows[pos]
-
-
-def plan_windows(
-    learned_cids: Iterable[int],
-    num_original: int,
-    window_size: int | None = None,
-    num_windows: int | None = None,
-) -> WindowPlan:
-    """Partition ``learned_cids`` (ascending) into contiguous-ID windows.
-
-    ``window_size`` bounds the learned-record count per window;
-    ``num_windows`` instead asks for a fixed number of (nearly) equal
-    chunks. Exactly one may be given; with neither, everything lands in a
-    single window.
-    """
-    if window_size is not None and num_windows is not None:
-        raise ValueError("give window_size or num_windows, not both")
-    cids = list(learned_cids)
-    if not cids:
-        return WindowPlan(num_original, ())
-    if window_size is None:
-        chunks = max(1, num_windows or 1)
-        window_size = -(-len(cids) // chunks)  # ceil division
-    if window_size < 1:
-        raise ValueError(f"window_size must be positive, got {window_size}")
-
-    windows: list[WindowSpec] = []
-    for start in range(0, len(cids), window_size):
-        chunk = cids[start : start + window_size]
-        lo = chunk[0] if not windows else windows[-1].hi
-        windows.append(
-            WindowSpec(index=len(windows), lo=lo, hi=chunk[-1] + 1, num_records=len(chunk))
-        )
-    # The first window also owns any gap down to the first learned ID.
-    first = windows[0]
-    windows[0] = WindowSpec(first.index, num_original + 1, first.hi, first.num_records)
-    return WindowPlan(num_original, tuple(windows))
-
-
-def _open_records(
-    source: str | Path | Trace | Iterable[TraceRecord],
-) -> Iterable[TraceRecord]:
-    if isinstance(source, Trace):
-        return source.records()
-    if isinstance(source, (str, Path)):
-        return iter_trace_records(source)
-    return source
-
-
-def iter_window_records(
-    source: str | Path | Trace | Iterable[TraceRecord], lo: int, hi: int
-) -> Iterator[LearnedClause]:
-    """Stream just the learned records whose IDs fall in ``[lo, hi)``.
-
-    Accepts a trace file path, an in-memory :class:`Trace`, or any record
-    iterable; non-learned records and out-of-window learned records are
-    skipped (constant memory for file sources).
-
-    One call is one decode pass over the *whole* trace — so calling this
-    per window of a plan decodes the trace once per window (quadratic in
-    the window count). Iterate a plan with :func:`iter_windowed_records`
-    instead, which makes a single pass.
-    """
-    for record in _open_records(source):
-        if isinstance(record, LearnedClause) and lo <= record.cid < hi:
-            yield record
-
-
-def iter_windowed_records(
-    source: str | Path | Trace | Iterable[TraceRecord], plan: WindowPlan
-) -> Iterator[tuple[WindowSpec, list[LearnedClause]]]:
-    """Yield ``(window, learned_records)`` for every window — in ONE pass.
-
-    Streams the trace exactly once and groups the learned records by the
-    plan's contiguous clause-ID windows as they arrive. Windows are
-    yielded in plan order; a window the stream has no records for yields
-    an empty list. Learned records falling outside every window (only
-    possible when the plan was built from a different trace) are ignored.
-    Because the source is consumed exactly once, a one-shot record
-    iterator (e.g. a generator) is a valid source — the regression tests
-    rely on this to prove no second decode pass can happen.
-    """
-    windows = plan.windows
-    if not windows:
-        return
-    current = 0
-    batch: list[LearnedClause] = []
-    for record in _open_records(source):
-        if not isinstance(record, LearnedClause):
-            continue
-        cid = record.cid
-        while current < len(windows) and cid >= windows[current].hi:
-            yield windows[current], batch
-            batch = []
-            current += 1
-        if current >= len(windows):
-            return
-        if cid >= windows[current].lo:
-            batch.append(record)
-    while current < len(windows):
-        yield windows[current], batch
-        batch = []
-        current += 1
 
 
 class ShiftingWindow:

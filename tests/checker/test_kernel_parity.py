@@ -4,16 +4,12 @@ Every checker runs with ``use_kernel=True`` by default; the frozenset
 oracle stays selectable with ``use_kernel=False``. Whatever the trace —
 clean or corrupted by any of the injected solver bugs — the two engines
 must return the same verdict, the same failure kind, and the same derived
-statistics through the breadth-first, depth-first and parallel checkers.
+statistics through the breadth-first and depth-first checkers.
 """
 
 import pytest
 
-from repro.checker import (
-    BreadthFirstChecker,
-    DepthFirstChecker,
-    ParallelWindowedChecker,
-)
+from repro.checker import BreadthFirstChecker, DepthFirstChecker
 from repro.solver.buggy import BugKind, make_buggy_solver
 from repro.trace import InMemoryTraceWriter
 from repro.trace.io import open_trace_writer
@@ -89,28 +85,6 @@ def test_depth_first_engine_parity_under_faults(bug):
         kernel = DepthFirstChecker(formula, trace, use_kernel=True).check()
         reference = DepthFirstChecker(formula, trace, use_kernel=False).check()
         _assert_reports_match(kernel, reference, (bug, seed))
-    assert fired > 0, f"bug {bug} never fired"
-
-
-@pytest.mark.parametrize("bug", TRACE_BUGS)
-def test_parallel_engine_parity_under_faults(bug, tmp_path):
-    fired = 0
-    for seed in range(3):
-        formula = pigeonhole(6, 5)
-        trace = _corrupted_trace(formula, bug, seed=seed)
-        if trace is None:
-            continue
-        fired += 1
-        path = _write_binary(trace, tmp_path / f"par-{bug.name}-{seed}.rtb")
-        kernel = ParallelWindowedChecker(
-            formula, path, num_workers=2, use_kernel=True
-        ).check()
-        reference = ParallelWindowedChecker(
-            formula, path, num_workers=2, use_kernel=False
-        ).check()
-        assert kernel.verified == reference.verified, (bug, seed)
-        if not kernel.verified:
-            assert kernel.failure.kind == reference.failure.kind, (bug, seed)
     assert fired > 0, f"bug {bug} never fired"
 
 

@@ -17,8 +17,8 @@ from repro.checker import (
     BreadthFirstChecker,
     DepthFirstChecker,
     HybridChecker,
-    ParallelWindowedChecker,
     RupChecker,
+    StreamingWindowChecker,
 )
 from repro.checker.rup import DrupWriter
 from repro.solver import Solver, SolverConfig, solve_formula
@@ -49,12 +49,7 @@ def run_all_strategies(formula, source, plan):
     strategies = [
         ("bf", lambda p: BreadthFirstChecker(formula, source, prune_plan=p)),
         ("hybrid", lambda p: HybridChecker(formula, source, prune_plan=p)),
-        (
-            "parallel",
-            lambda p: ParallelWindowedChecker(
-                formula, source, num_workers=1, prune_plan=p
-            ),
-        ),
+        ("streaming", lambda p: StreamingWindowChecker(formula, source, prune_plan=p)),
     ]
     if isinstance(source, Trace):
         strategies.insert(
@@ -104,7 +99,7 @@ def test_clean_traces_verify_identically_pruned_and_unpruned(make):
         assert pruned.prune is not None and unpruned.prune is None
         assert pruned.prune["skipped"] == len(plan.skip)
         # The pruned run builds exactly the cone (df builds it regardless).
-        if name in ("bf", "parallel"):
+        if name in ("bf", "streaming"):
             assert pruned.clauses_built == len(plan.keep)
             assert unpruned.clauses_built == plan.total_learned
 

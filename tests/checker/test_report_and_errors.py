@@ -126,9 +126,17 @@ class TestReportJson:
     def test_optional_fields_absent_when_unset(self):
         payload = CheckReport(method="breadth-first", verified=True).to_json()
         for absent in ("failure", "original_core", "learned_used",
-                       "window_stats", "degradation", "recovery", "fingerprint"):
+                       "window_stats", "degradation", "fingerprint"):
             assert absent not in payload
         assert "from_cache" not in payload  # runtime-only flag
+
+    def test_payload_with_retired_recovery_field_still_loads(self):
+        # Cache entries and job results written while reports carried a
+        # ``recovery`` event log keep loading; the field is ignored.
+        payload = self._full().to_json()
+        payload["recovery"] = [{"event": "retry", "window": 0, "round": 1}]
+        clone = CheckReport.from_json(payload)
+        assert clone.to_json() == self._full().to_json()
 
     def test_from_json_rejects_other_schema_versions(self):
         from repro.checker.report import REPORT_SCHEMA_VERSION

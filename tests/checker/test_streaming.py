@@ -485,8 +485,6 @@ def test_cli_stream_flag_conflicts(tmp_path):
 
     stats = generate(tmp_path / "chain", chain=400)
     with pytest.raises(SystemExit):
-        check_main([stats["cnf"], stats["trace"], "--stream", "--parallel", "2"])
-    with pytest.raises(SystemExit):
         check_main([stats["cnf"], stats["trace"], "--stream", "--method", "bf"])
     with pytest.raises(SystemExit):
         check_main(

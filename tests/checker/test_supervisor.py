@@ -1,9 +1,9 @@
-"""The resilient checking supervisor: budgets, the degradation ladder,
-worker-crash recovery and BF checkpoint/resume.
+"""The resilient checking supervisor: budgets, the degradation ladder
+and BF checkpoint/resume.
 
-The fault matrix lives here: a worker SIGKILLed mid-window, a window hung
-past its watchdog, and a forced DF memory-out must all end in a structured
-report — never an escaped exception — and degrade (or not) per policy.
+The fault matrix lives here: a forced DF memory-out, a timeout on every
+rung and a crashed attempt must all end in a structured report — never
+an escaped exception — and degrade (or not) per policy.
 """
 
 import os
@@ -11,6 +11,7 @@ import pickle
 
 import pytest
 
+from repro import faults
 from repro.checker import (
     BreadthFirstChecker,
     CheckFailure,
@@ -22,11 +23,9 @@ from repro.checker import (
     DepthFirstChecker,
     FailureKind,
     MemoryLimitExceeded,
-    ParallelWindowedChecker,
     load_checkpoint,
     supervised_check,
 )
-from repro.checker.parallel import FAULT_ENV
 from repro.checker.resolution import ResolutionError
 from repro.solver import Solver, SolverConfig
 from repro.trace import AsciiTraceWriter, InMemoryTraceWriter
@@ -71,14 +70,14 @@ def test_deadline_rejects_negative_timeout():
 
 def test_every_checker_honours_a_zero_deadline(proof):
     formula, path = proof
-    from repro.checker import HybridChecker
+    from repro.checker import HybridChecker, StreamingWindowChecker
     from repro.trace import load_trace
 
     checkers = [
         DepthFirstChecker(formula, load_trace(path), deadline=Deadline(0.0)),
         BreadthFirstChecker(formula, path, deadline=Deadline(0.0)),
         HybridChecker(formula, path, deadline=Deadline(0.0)),
-        ParallelWindowedChecker(formula, path, num_workers=1, deadline=Deadline(0.0)),
+        StreamingWindowChecker(formula, path, deadline=Deadline(0.0)),
     ]
     for checker in checkers:
         report = checker.check()
@@ -149,7 +148,7 @@ def test_proof_bugs_do_not_degrade(proof, tmp_path):
 def test_policy_parse_and_config_validation(proof):
     formula, path = proof
     assert CheckPolicy.parse("strict").ladder("df") == ("df",)
-    assert CheckPolicy.parse("fallback").ladder("parallel") == ("parallel", "bf")
+    assert CheckPolicy.parse("fallback").ladder("df") == ("df", "hybrid", "bf")
     with pytest.raises(ValueError):
         CheckPolicy.parse("yolo")
     with pytest.raises(ValueError):
@@ -166,87 +165,22 @@ def test_supervisor_accepts_in_memory_traces():
     assert report.verified
 
 
-# -- worker-crash recovery ----------------------------------------------------
+# -- crashed attempts -----------------------------------------------------------
 
 
-def _arm_fault(monkeypatch, tmp_path, mode, window, extra=""):
-    token = tmp_path / "fault.token"
-    token.write_text("armed")
-    spec = f"{mode}:{window}:{token}{extra}"
-    monkeypatch.setenv(FAULT_ENV, spec)
-    return token
-
-
-def test_sigkilled_worker_is_retried_and_verifies(proof, monkeypatch, tmp_path):
-    """The acceptance scenario: SIGKILL one worker; the run still verifies."""
+def test_crashed_attempt_degrades_to_the_next_rung(proof):
+    """An attempt that blows up is a worker crash, and the ladder moves on."""
     formula, path = proof
-    _arm_fault(monkeypatch, tmp_path, "kill", 1)
-    checker = ParallelWindowedChecker(formula, path, num_workers=2, max_retries=2)
-    report = checker.check()
+    faults.install_plan("point=supervisor.attempt,kind=raise,key=df")
+    try:
+        report = supervised_check(formula, path, method="df", policy="fallback")
+    finally:
+        faults.reset()
     assert report.verified
-    assert report.recovery, "the crash must be on the record"
-    retries = [e for e in report.recovery if e["event"] == "retry"]
-    # A SIGKILL breaks the whole pool, so every in-flight window of that
-    # round is retried — the faulted one must be among them.
-    assert 1 in {e["window"] for e in retries}
-    assert all("crash" in e["reason"] or "hang" in e["reason"] for e in retries)
-
-
-def test_hung_window_is_killed_by_the_watchdog(proof, monkeypatch, tmp_path):
-    formula, path = proof
-    _arm_fault(monkeypatch, tmp_path, "hang", 0, extra=":30")
-    checker = ParallelWindowedChecker(
-        formula, path, num_workers=2, window_timeout=1.5, max_retries=1
-    )
-    report = checker.check()
-    assert report.verified  # the retry runs clean (the fault is one-shot)
-    assert any(e["event"] == "retry" for e in report.recovery)
-
-
-def test_worker_crash_surfaces_after_retry_budget(proof, monkeypatch, tmp_path):
-    """With no retries and no in-process fallback, the kind is WORKER_CRASH."""
-    formula, path = proof
-    _arm_fault(monkeypatch, tmp_path, "kill", 0)
-    checker = ParallelWindowedChecker(
-        formula, path, num_workers=2, max_retries=0, inprocess_fallback=False
-    )
-    report = checker.check()  # must not raise (satellite bugfix)
-    assert not report.verified
-    assert report.failure.kind is FailureKind.WORKER_CRASH
-    assert 0 in report.failure.context["windows"]
-    assert any(e["event"] == "retries-exhausted" for e in report.recovery)
-
-
-def test_inprocess_fallback_rescues_exhausted_retries(proof, monkeypatch, tmp_path):
-    formula, path = proof
-    token = _arm_fault(monkeypatch, tmp_path, "kill", 0)
-    checker = ParallelWindowedChecker(formula, path, num_workers=2, max_retries=0)
-    report = checker.check()
-    assert report.verified
-    assert any(e["event"] == "inline" for e in report.recovery)
-    assert not token.exists()  # the fault really fired
-
-
-def test_supervisor_degrades_parallel_to_bf(proof, monkeypatch, tmp_path):
-    """A persistent crash exhausts parallel's layers; the ladder lands on BF."""
-    formula, path = proof
-    _arm_fault(monkeypatch, tmp_path, "kill", 0)
-    report = supervised_check(
-        formula,
-        path,
-        method="parallel",
-        policy="fallback",
-        num_workers=2,
-        max_retries=0,
-        inprocess_fallback=False,
-    )
-    assert report.verified
-    assert [a["method"] for a in report.degradation] == [
-        "parallel-windowed",
-        "breadth-first",
+    assert [(a["method"], a["outcome"]) for a in report.degradation] == [
+        ("df", "worker-crash"),
+        ("hybrid", "verified"),
     ]
-    assert report.degradation[0]["outcome"] == "worker-crash"
-    assert report.degradation[0]["recovery_events"] >= 1
 
 
 # -- checkpoint / resume ------------------------------------------------------
@@ -534,14 +468,28 @@ def test_cli_checkpoint_then_resume(proof, tmp_path, capsys):
     assert "Check Succeeded" in capsys.readouterr().out
 
 
-def test_cli_flag_validation(tmp_path):
+def test_cli_flag_validation(proof, tmp_path, capsys):
+    """Bad flag combinations and out-of-range numbers are usage errors
+    (exit 2) raised before any check runs."""
     from repro.cli import check_main
 
-    with pytest.raises(SystemExit):
-        check_main(["x.cnf", "x.trace", "--checkpoint-every", "5"])
-    with pytest.raises(SystemExit):
-        check_main(["x.cnf", "x.trace", "--window-timeout", "1"])
-    with pytest.raises(SystemExit):
-        check_main(["x.cnf", "x.trace", "--resume", "c.ckpt", "--parallel", "2"])
-    with pytest.raises(SystemExit):
-        check_main(["x.cnf", "x.trace", "--parallel", "2", "--method", "rup"])
+    formula, trace = proof
+    cnf = _cnf_file(formula, tmp_path)
+    ckpt = str(tmp_path / "cli.ckpt")
+    cases = [
+        (["--checkpoint-every", "5"], "--checkpoint-every needs --checkpoint"),
+        (["--method", "bf", "--timeout", "-1"], "--timeout must be at least 0"),
+        (["--mem-limit", "-3"], "--mem-limit must be at least 0"),
+        (["--stream", "--memory-window", "-5"], "--memory-window must be at least 0"),
+        (["--stream", "--window-records", "0"], "--window-records must be at least 1"),
+        (
+            ["--method", "bf", "--checkpoint", ckpt, "--checkpoint-every", "-1"],
+            "--checkpoint-every must be at least 1",
+        ),
+    ]
+    for tail, message in cases:
+        with pytest.raises(SystemExit) as excinfo:
+            check_main([cnf, trace, *tail])
+        assert excinfo.value.code == 2, tail
+        assert message in capsys.readouterr().err, tail
+    assert not os.path.exists(ckpt)

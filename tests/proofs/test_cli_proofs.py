@@ -89,7 +89,6 @@ def test_check_flipped_proof_fails(drat_files, tmp_path, capsys):
     ["--method", "bf", "--backward"],    # --backward needs the drat method
     ["--method", "drat", "--prune"],     # trace-only flag
     ["--method", "drat", "--precheck"],  # trace-only flag
-    ["--method", "drat", "--parallel", "2"],
 ])
 def test_check_rejects_conflicting_proof_flags(drat_files, argv_tail):
     cnf, text, _ = drat_files

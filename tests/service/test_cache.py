@@ -85,6 +85,19 @@ def test_corrupt_entry_degrades_to_miss(tmp_path):
     assert cache.metrics.counter("cache.corrupt_entries").value == 1
 
 
+def test_entry_with_a_retired_failure_kind_is_a_miss(tmp_path):
+    # "interface-mismatch" belonged to a checker that no longer exists.
+    cache = VerdictCache(tmp_path / "cache")
+    fingerprint = make_fingerprint("a")
+    cache.put(fingerprint, make_report(verified=False))
+    path = cache._entry_path(fingerprint["key"])
+    entry = json.loads(path.read_text())
+    entry["report"]["failure"] = {"kind": "interface-mismatch", "message": "windows disagree"}
+    path.write_text(json.dumps(entry))
+    assert cache.get(fingerprint) is None
+    assert cache.metrics.counter("cache.corrupt_entries").value == 1
+
+
 def test_failure_reports_round_trip(tmp_path):
     from repro.checker.errors import CheckFailure, FailureKind
 

@@ -37,8 +37,6 @@ SRC = str(Path(__file__).resolve().parents[2] / "src")
 @pytest.fixture(autouse=True)
 def clean_plane(monkeypatch):
     monkeypatch.delenv(faults.PLAN_ENV, raising=False)
-    monkeypatch.delenv(faults.LEGACY_CHECK_FAULT_ENV, raising=False)
-    monkeypatch.delenv(faults.LEGACY_POOL_FAULT_ENV, raising=False)
     faults.reset()
     yield
     faults.reset()

@@ -121,6 +121,18 @@ def test_submit_missing_artifact_errors(tmp_path):
         submit_main([str(tmp_path / "spool"), "/no.cnf", "/no.trace"])
 
 
+def test_submit_rejects_out_of_range_numbers_before_queueing(artifacts, tmp_path, capsys):
+    """A value no worker could run is a usage error, not a FAILED job."""
+    _, cnf, ascii_path, _ = artifacts
+    spool = tmp_path / "spool"
+    with pytest.raises(SystemExit) as excinfo:
+        submit_main([str(spool), cnf, ascii_path, "--method", "streaming",
+                     "--window-records", "0"])
+    assert excinfo.value.code == 2
+    assert "--window-records must be at least 1" in capsys.readouterr().err
+    assert not spool.exists()
+
+
 def test_umbrella_dispatches_service_verbs(artifacts, tmp_path, capsys):
     _, cnf, ascii_path, _ = artifacts
     spool = str(tmp_path / "spool")

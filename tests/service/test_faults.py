@@ -1,4 +1,4 @@
-"""The fault-injection plane itself: parsing, firing, legacy shims, retries."""
+"""The fault-injection plane itself: parsing, firing, env plumbing, retries."""
 
 import errno
 import io
@@ -8,8 +8,6 @@ import pytest
 
 from repro import faults
 from repro.faults import (
-    LEGACY_CHECK_FAULT_ENV,
-    LEGACY_POOL_FAULT_ENV,
     PLAN_ENV,
     FaultInjected,
     FaultPlan,
@@ -26,8 +24,7 @@ from repro.service.metrics import MetricsRegistry
 @pytest.fixture(autouse=True)
 def clean_plane(monkeypatch):
     """Every test starts with no plan armed and no fault env leaking in."""
-    for var in (PLAN_ENV, LEGACY_CHECK_FAULT_ENV, LEGACY_POOL_FAULT_ENV):
-        monkeypatch.delenv(var, raising=False)
+    monkeypatch.delenv(PLAN_ENV, raising=False)
     faults.reset()
     yield
     faults.reset()
@@ -80,10 +77,10 @@ def test_match_exact_wildcard_and_key():
     spec = FaultSpec(point="cache.*", kind="raise")
     assert spec.matches("cache.segment.rename", None)
     assert not spec.matches("jobs.journal.append", None)
-    keyed = FaultSpec(point="parallel.window", kind="raise", key="2")
-    assert keyed.matches("parallel.window", "2")
-    assert not keyed.matches("parallel.window", "1")
-    assert not keyed.matches("parallel.window", None)
+    keyed = FaultSpec(point="supervisor.attempt", kind="raise", key="df")
+    assert keyed.matches("supervisor.attempt", "df")
+    assert not keyed.matches("supervisor.attempt", "bf")
+    assert not keyed.matches("supervisor.attempt", None)
 
 
 def test_after_counts_hits_and_one_shot_by_default():
@@ -161,7 +158,7 @@ def test_key_gated_entry_only_fires_on_its_key():
         fault_point("jobs.journal.append", key="done")
 
 
-# -- env plumbing and the legacy shims -----------------------------------------
+# -- env plumbing --------------------------------------------------------------
 
 
 def test_env_plan_reparsed_when_env_changes(monkeypatch):
@@ -176,47 +173,6 @@ def test_env_plan_reparsed_when_env_changes(monkeypatch):
     assert faults.active_plan() is None
 
 
-def test_legacy_check_fault_translates_to_window_entry(monkeypatch, tmp_path):
-    token = tmp_path / "tok"
-    monkeypatch.setenv(LEGACY_CHECK_FAULT_ENV, f"hang:2:{token}:7.5")
-    plan = faults.active_plan()
-    (spec,) = plan.specs
-    assert spec.point == "parallel.window"
-    assert spec.kind == "hang"
-    assert spec.key == "2"
-    assert spec.token == str(token)
-    assert spec.arg == 7.5
-    assert spec.repeat is True
-
-
-def test_legacy_check_fault_rejects_unknown_mode(monkeypatch, tmp_path):
-    monkeypatch.setenv(LEGACY_CHECK_FAULT_ENV, f"explode:0:{tmp_path / 't'}")
-    with pytest.raises(ValueError, match="mode"):
-        faults.active_plan()
-
-
-def test_legacy_pool_fault_translates_to_task_start_entry(monkeypatch, tmp_path):
-    fault_file = tmp_path / "fault"
-    monkeypatch.setenv(LEGACY_POOL_FAULT_ENV, str(fault_file))
-    plan = faults.active_plan()
-    (spec,) = plan.specs
-    assert spec.point == "pool.task.start"
-    assert spec.kind == "kill"
-    assert spec.token == str(fault_file)
-    # The token file is the switch: absent, the armed entry never fires.
-    fault_point("pool.task.start")
-
-
-def test_legacy_hooks_compose_with_the_unified_plan(monkeypatch, tmp_path):
-    monkeypatch.setenv(PLAN_ENV, "point=a,kind=raise")
-    monkeypatch.setenv(LEGACY_CHECK_FAULT_ENV, f"kill:0:{tmp_path / 't1'}")
-    monkeypatch.setenv(LEGACY_POOL_FAULT_ENV, str(tmp_path / "t2"))
-    plan = faults.active_plan()
-    assert [s.point for s in plan.specs] == [
-        "a", "parallel.window", "pool.task.start",
-    ]
-
-
 def test_registry_covers_every_hardened_subsystem():
     points = registered_points()
     expected = {
@@ -225,7 +181,7 @@ def test_registry_covers_every_hardened_subsystem():
         "scheduler.claim", "scheduler.finalize",
         "pool.task.start", "pool.task.dispatch", "pool.result.collect",
         "daemon.spool.ingest", "daemon.wakeup", "daemon.heartbeat.write",
-        "parallel.window", "supervisor.attempt", "checkpoint.write",
+        "supervisor.attempt", "checkpoint.write",
     }
     assert expected <= set(points)
     assert points["jobs.journal.append"]["writes"] is True

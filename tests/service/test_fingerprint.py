@@ -70,6 +70,14 @@ def test_options_fingerprint_ignores_non_verdict_options():
     assert fingerprint_options({"method": "bf", "memory_limit": 100}) != base
 
 
+def test_options_fingerprint_is_pinned_across_keyed_option_changes():
+    # Unset options never reach the hash, so dropping a name from
+    # KEYED_OPTIONS leaves every cache line written without it valid.
+    assert fingerprint_options({"method": "bf"}) == (
+        "ffa5f0fb4e6e20913d7e913bc119fdc493f487c1c636a6fe428748642493b1d2"
+    )
+
+
 def test_options_fingerprint_separates_pruned_from_unpruned():
     base = fingerprint_options({"method": "bf"})
     assert fingerprint_options({"method": "bf", "prune": True}) != base

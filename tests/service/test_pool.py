@@ -7,18 +7,30 @@ import time
 
 import pytest
 
+from repro.faults import PLAN_ENV
 from repro.service.cache import VerdictCache
 from repro.service.client import ServiceClient
 from repro.service.daemon import read_queue_status, spool_layout, submit_job
 from repro.service.jobs import JobState, JobStore, ShardedJobStore, shard_of
-from repro.service.pool import FAULT_FILE_ENV, ThreadWorkerPool, WorkerPool
+from repro.service.pool import WorkerPool
 from repro.service.scheduler import Scheduler
 
 
-def make_scheduler(tmp_path, num_workers=2, mode="process") -> Scheduler:
+def make_scheduler(tmp_path, num_workers=2) -> Scheduler:
     store = JobStore(tmp_path / "journal.jsonl")
     client = ServiceClient(cache=VerdictCache(tmp_path / "cache"))
-    return Scheduler(store, client, num_workers=num_workers, mode=mode)
+    return Scheduler(store, client, num_workers=num_workers)
+
+
+def arm_one_worker_kill(monkeypatch, tmp_path):
+    """The first worker to start a task wins the token and SIGKILLs itself."""
+    token = tmp_path / "fault"
+    token.write_text("die once\n")
+    # Workers inherit the env; the token makes it one kill across all of them.
+    monkeypatch.setenv(
+        PLAN_ENV, f"point=pool.task.start,kind=kill,token={token},repeat=1"
+    )
+    return token
 
 
 # -- basic pool mechanics ------------------------------------------------------
@@ -61,9 +73,7 @@ def test_pool_submit_backpressure(artifacts, tmp_path):
 def test_worker_sigkill_mid_job_is_retried_on_replacement(artifacts, tmp_path, monkeypatch):
     """A SIGKILLed worker is replaced and its in-flight job still completes."""
     _, cnf, ascii_path, _ = artifacts
-    fault = tmp_path / "fault"
-    fault.write_text("die once\n")
-    monkeypatch.setenv(FAULT_FILE_ENV, str(fault))  # workers inherit the env
+    fault = arm_one_worker_kill(monkeypatch, tmp_path)
 
     scheduler = make_scheduler(tmp_path, num_workers=2)
     jobs = [
@@ -86,9 +96,7 @@ def test_crash_past_attempt_budget_quarantines_the_job(artifacts, tmp_path, monk
     """A crash with no budget left dead-letters the job — not a hang, not a
     crash loop — and an operator requeue gives it a fresh budget."""
     _, cnf, ascii_path, _ = artifacts
-    fault = tmp_path / "fault"
-    fault.write_text("die once\n")
-    monkeypatch.setenv(FAULT_FILE_ENV, str(fault))
+    fault = arm_one_worker_kill(monkeypatch, tmp_path)
     store = JobStore(tmp_path / "journal.jsonl", max_job_attempts=1,
                      dead_letter_dir=tmp_path / "dead")
     client = ServiceClient(cache=VerdictCache(tmp_path / "cache"))
@@ -114,11 +122,10 @@ def test_crash_past_attempt_budget_quarantines_the_job(artifacts, tmp_path, monk
 # -- warm caches ---------------------------------------------------------------
 
 
-@pytest.mark.parametrize("mode", ["process", "thread"])
-def test_warm_formula_cache_reused_across_jobs(artifacts, tmp_path, mode):
+def test_warm_formula_cache_reused_across_jobs(artifacts, tmp_path):
     """N jobs on one formula parse the DIMACS once per worker, visibly."""
     _, cnf, ascii_path, _ = artifacts
-    scheduler = make_scheduler(tmp_path / mode, num_workers=1, mode=mode)
+    scheduler = make_scheduler(tmp_path, num_workers=1)
     for i in range(4):  # distinct timeouts -> distinct cache keys, no dedup
         scheduler.store.submit(cnf, ascii_path, {"method": "bf", "timeout": 200 + i})
     scheduler.drain()
@@ -130,23 +137,6 @@ def test_warm_formula_cache_reused_across_jobs(artifacts, tmp_path, mode):
     assert counters.counter("pool.trace_hits").value == 3
     assert counters.counter("pool.store_reuses").value == 3
     scheduler.store.close()
-
-
-def test_thread_pool_interface_parity(artifacts, tmp_path):
-    _, cnf, ascii_path, _ = artifacts
-    results = []
-    pool = ThreadWorkerPool(2, results.append)
-    pool.start()
-    try:
-        assert pool.has_idle()
-        assert pool.submit({"job_id": "j1", "formula": cnf, "trace": ascii_path,
-                            "options": {"method": "bf"}})
-        deadline = time.monotonic() + 60
-        while not results and time.monotonic() < deadline:
-            time.sleep(0.02)
-    finally:
-        pool.stop()
-    assert results and results[0]["ok"]
 
 
 # -- sharded scale-out ---------------------------------------------------------

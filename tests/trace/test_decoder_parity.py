@@ -1,4 +1,4 @@
-"""Batched decoder, fused scan and raw iterator vs the legacy byte-at-a-time path.
+"""Batched decoder, fused scan and raw iterator vs the byte-at-a-time reference.
 
 The batched decoder is a pure performance change: for any trace file —
 including ones whose records straddle chunk boundaries — it must produce
@@ -16,17 +16,15 @@ from repro.trace import InMemoryTraceWriter, TraceError
 from repro.trace.binary_format import (
     DEFAULT_CHUNK_SIZE,
     _decode_batched,
-    active_decoder_mode,
-    decoder_mode,
     iter_binary_records,
     iter_binary_records_raw,
-    iter_binary_records_unbatched,
     scan_binary_learned,
 )
 from repro.trace.io import open_trace_writer
 from repro.trace.records import LearnedClause, LevelZeroAssignment
 
 from tests.conftest import pigeonhole
+from tests.trace.reference_decoder import iter_binary_records_unbatched
 
 
 @pytest.fixture(scope="module")
@@ -63,15 +61,6 @@ def test_batched_is_chunk_size_invariant(sample_trace_path, chunk_size):
     # Tiny chunks force every record shape to straddle a buffer boundary.
     sliced = list(_decode_batched(sample_trace_path, chunk_size=chunk_size))
     assert sliced == list(iter_binary_records_unbatched(sample_trace_path))
-
-
-def test_decoder_mode_switches_and_restores(sample_trace_path):
-    assert active_decoder_mode() == "batched"
-    with decoder_mode("legacy"):
-        assert active_decoder_mode() == "legacy"
-        legacy = list(iter_binary_records(sample_trace_path))
-    assert active_decoder_mode() == "batched"
-    assert legacy == list(iter_binary_records(sample_trace_path))
 
 
 def test_raw_iterator_matches_learned_records(sample_trace_path):
@@ -135,10 +124,13 @@ def test_bf_report_identical_across_decoder_paths(sample_trace_path):
 
     fast = BreadthFirstChecker(formula, sample_trace_path).check()
     as_object = BreadthFirstChecker(formula, read_binary_trace(sample_trace_path)).check()
-    with decoder_mode("legacy"):
-        legacy = BreadthFirstChecker(formula, sample_trace_path).check()
+    # Chunked counting takes the generic record-streaming passes over the
+    # same file instead of the fused scan and the raw iterator.
+    record_passes = BreadthFirstChecker(
+        formula, sample_trace_path, count_chunk_size=7
+    ).check()
 
-    for report in (as_object, legacy):
+    for report in (as_object, record_passes):
         assert report.verified == fast.verified
         assert report.clauses_built == fast.clauses_built
         assert report.total_learned == fast.total_learned

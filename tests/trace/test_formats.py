@@ -20,8 +20,10 @@ from repro.trace import (
     read_ascii_trace,
     read_binary_trace,
 )
-from repro.trace.binary_format import decode_varint, encode_varint
+from repro.trace.binary_format import encode_varint
 from repro.trace.records import assemble_trace
+
+from tests.trace.reference_decoder import decode_varint
 
 
 def _write_sample(writer):

@@ -220,8 +220,6 @@ def test_write_trimmed_preserves_deletions(tmp_path, fmt, deletion_heavy):
 
 @pytest.mark.parametrize("use_kernel", [True, False], ids=["kernel", "oracle"])
 def test_trimmed_binary_rechecks_under_every_engine(tmp_path, use_kernel, deletion_heavy):
-    from repro.checker import ParallelWindowedChecker
-
     formula, trace = deletion_heavy
     path = tmp_path / "trimmed.btrace"
     write_trimmed(formula, trace, path, fmt="binary")
@@ -230,9 +228,6 @@ def test_trimmed_binary_rechecks_under_every_engine(tmp_path, use_kernel, deleti
         DepthFirstChecker(formula, trimmed, use_kernel=use_kernel).check(),
         BreadthFirstChecker(formula, path, use_kernel=use_kernel).check(),
         HybridChecker(formula, path, use_kernel=use_kernel).check(),
-        ParallelWindowedChecker(
-            formula, path, num_workers=2, use_kernel=use_kernel
-        ).check(),
     ]
     for report in reports:
         assert report.verified, (report.method, report.failure)

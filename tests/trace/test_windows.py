@@ -1,224 +1,8 @@
-"""Window planning edge cases and the single-pass grouped iteration.
-
-``iter_window_records`` decodes the whole trace once *per call*; driving a
-multi-window plan through it therefore re-decoded the trace once per
-window (quadratic in the window count). ``iter_windowed_records`` is the
-single-pass replacement; the regression tests here prove the pass count
-by feeding sources that physically cannot be read twice.
-"""
+"""The shifting-window cursor the streaming checker drives."""
 
 import pytest
 
-from repro.trace.records import (
-    ClauseDeletion,
-    FinalConflict,
-    LearnedClause,
-    LevelZeroAssignment,
-    TraceHeader,
-    TraceResult,
-)
-from repro.trace.windows import (
-    ShiftingWindow,
-    WindowPlan,
-    iter_window_records,
-    iter_windowed_records,
-    plan_windows,
-)
-
-NUM_ORIGINAL = 4
-
-
-def chain_records(num_learned, deletions=()):
-    """Header + a learned chain (+ optional deletions interleaved by cid)."""
-    records = [TraceHeader(num_vars=6, num_original_clauses=NUM_ORIGINAL)]
-    for offset in range(num_learned):
-        cid = NUM_ORIGINAL + 1 + offset
-        records.append(LearnedClause(cid, (1, 2)))
-        if cid in deletions:
-            records.append(ClauseDeletion(cid))
-    records.append(LevelZeroAssignment(var=1, value=True, antecedent=1))
-    records.append(FinalConflict(NUM_ORIGINAL))
-    records.append(TraceResult("UNSAT"))
-    return records
-
-
-def learned_cids(num_learned):
-    return [NUM_ORIGINAL + 1 + offset for offset in range(num_learned)]
-
-
-# -- plan_windows edge cases ---------------------------------------------------
-
-
-def test_empty_trace_yields_empty_plan():
-    plan = plan_windows([], NUM_ORIGINAL, window_size=8)
-    assert plan.windows == ()
-    assert len(plan) == 0
-    assert list(iter_windowed_records(chain_records(0), plan)) == []
-
-
-def test_single_record_with_oversized_window():
-    # One learned record, window far larger than the trace: a single
-    # window that still owns the whole ID gap down to the originals.
-    plan = plan_windows([NUM_ORIGINAL + 1], NUM_ORIGINAL, window_size=1000)
-    assert len(plan) == 1
-    window = plan.windows[0]
-    assert (window.lo, window.hi, window.num_records) == (
-        NUM_ORIGINAL + 1,
-        NUM_ORIGINAL + 2,
-        1,
-    )
-    assert plan.window_of(NUM_ORIGINAL + 1) is window
-
-
-def test_window_larger_than_trace_collapses_to_one_window():
-    cids = learned_cids(7)
-    for kwargs in ({"window_size": 100}, {"num_windows": 1}, {}):
-        plan = plan_windows(cids, NUM_ORIGINAL, **kwargs)
-        assert len(plan) == 1
-        assert plan.windows[0].num_records == 7
-        assert [plan.window_of(cid).index for cid in cids] == [0] * 7
-
-
-def test_sparse_ids_partition_without_gaps():
-    # Sparse learned IDs: every ID (even absent ones) must belong to
-    # exactly one window — windows tile [num_original+1, max_cid+1).
-    cids = [6, 9, 17, 18, 40]
-    plan = plan_windows(cids, NUM_ORIGINAL, window_size=2)
-    assert plan.windows[0].lo == NUM_ORIGINAL + 1
-    for left, right in zip(plan.windows, plan.windows[1:]):
-        assert left.hi == right.lo
-    assert sum(w.num_records for w in plan.windows) == len(cids)
-
-
-def test_plan_windows_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        plan_windows([5], NUM_ORIGINAL, window_size=2, num_windows=2)
-    with pytest.raises(ValueError):
-        plan_windows([5], NUM_ORIGINAL, window_size=0)
-    with pytest.raises(ValueError):
-        plan_windows([5], NUM_ORIGINAL, window_size=-3)
-
-
-def test_window_of_rejects_originals_and_out_of_range():
-    plan = plan_windows(learned_cids(4), NUM_ORIGINAL, window_size=2)
-    with pytest.raises(ValueError):
-        plan.window_of(NUM_ORIGINAL)  # an original clause
-    with pytest.raises(ValueError):
-        plan.window_of(NUM_ORIGINAL + 100)  # past the last window
-
-
-def test_deletions_at_window_boundaries_do_not_shift_windows():
-    # Deletion records are advisory: a deletion of the clause that closes
-    # a window (or opens the next) must not change grouping or counts.
-    num_learned = 9
-    cids = learned_cids(num_learned)
-    plan = plan_windows(cids, NUM_ORIGINAL, window_size=3)
-    boundary_cids = {plan.windows[0].hi - 1, plan.windows[1].lo, plan.windows[1].hi - 1}
-    with_deletions = chain_records(num_learned, deletions=boundary_cids)
-    plain = chain_records(num_learned)
-
-    grouped_plain = [
-        (w.index, [r.cid for r in batch])
-        for w, batch in iter_windowed_records(plain, plan)
-    ]
-    grouped_deleted = [
-        (w.index, [r.cid for r in batch])
-        for w, batch in iter_windowed_records(with_deletions, plan)
-    ]
-    assert grouped_plain == grouped_deleted
-    assert [len(batch) for _, batch in grouped_plain] == [3, 3, 3]
-
-
-# -- single-pass iteration ----------------------------------------------------
-
-
-def test_grouped_iteration_matches_per_window_scans():
-    records = chain_records(10)
-    plan = plan_windows(learned_cids(10), NUM_ORIGINAL, window_size=4)
-    grouped = {
-        w.index: [r.cid for r in batch]
-        for w, batch in iter_windowed_records(records, plan)
-    }
-    per_window = {
-        w.index: [r.cid for r in iter_window_records(records, w.lo, w.hi)]
-        for w in plan.windows
-    }
-    assert grouped == per_window
-    assert set(grouped) == {0, 1, 2}
-
-
-def test_trailing_windows_yield_empty_batches():
-    # A plan built for a longer trace: the stream runs dry before the
-    # last windows, which must still be yielded (empty), in order.
-    plan = plan_windows(learned_cids(9), NUM_ORIGINAL, window_size=3)
-    short = chain_records(4)
-    yielded = list(iter_windowed_records(short, plan))
-    assert [w.index for w, _ in yielded] == [0, 1, 2]
-    assert [[r.cid for r in batch] for _, batch in yielded] == [
-        [5, 6, 7],
-        [8],
-        [],
-    ]
-
-
-def test_one_shot_source_is_fully_consumed_in_one_pass():
-    # A generator can only be iterated once; completing the whole plan
-    # from it proves there is no second decode pass.
-    plan = plan_windows(learned_cids(12), NUM_ORIGINAL, window_size=3)
-    one_shot = iter(chain_records(12))
-    batches = list(iter_windowed_records(one_shot, plan))
-    assert len(batches) == 4
-    assert sum(len(batch) for _, batch in batches) == 12
-
-
-def test_per_window_scans_restart_decoding_but_grouped_does_not():
-    """The quadratic-regression pin: count actual decode passes.
-
-    Wrapping the record list in a pass-counting iterable shows
-    ``iter_window_records`` re-reads the trace once per window while
-    ``iter_windowed_records`` reads it exactly once for the same plan.
-    """
-
-    class CountingSource:
-        def __init__(self, records):
-            self.records = records
-            self.passes = 0
-
-        def __iter__(self):
-            self.passes += 1
-            return iter(self.records)
-
-    plan = plan_windows(learned_cids(20), NUM_ORIGINAL, window_size=4)
-    assert len(plan) == 5
-
-    quadratic = CountingSource(chain_records(20))
-    for window in plan.windows:
-        list(iter_window_records(quadratic, window.lo, window.hi))
-    assert quadratic.passes == len(plan)
-
-    single = CountingSource(chain_records(20))
-    list(iter_windowed_records(single, plan))
-    assert single.passes == 1
-
-
-def test_grouped_iteration_stops_reading_after_last_window():
-    # Once every window is served, the source must not be drained further
-    # (the tail of a huge trace is never decoded a second time).
-    plan = plan_windows(learned_cids(4), NUM_ORIGINAL, window_size=2)
-    consumed = []
-
-    def source():
-        for record in chain_records(8):
-            consumed.append(record)
-            yield record
-
-    list(iter_windowed_records(source(), plan))
-    learned_seen = [r.cid for r in consumed if isinstance(r, LearnedClause)]
-    # Reads up to the first learned record past the final window, no more.
-    assert learned_seen == learned_cids(5)
-
-
-# -- the shifting-window cursor ------------------------------------------------
+from repro.trace.windows import ShiftingWindow
 
 
 def test_shifting_window_accumulates_and_caps_detail():
@@ -235,18 +19,3 @@ def test_shifting_window_rejects_nonpositive_size():
     with pytest.raises(ValueError):
         ShiftingWindow(window_records=0)
     assert ShiftingWindow().window_records == ShiftingWindow.DEFAULT_RECORDS
-
-
-def test_plan_survives_record_stream_with_interleaved_noise():
-    # Level-zero assignments and deletions between learned records are
-    # skipped by both consumption modes without desynchronizing windows.
-    records = [TraceHeader(num_vars=6, num_original_clauses=NUM_ORIGINAL)]
-    for offset in range(6):
-        cid = NUM_ORIGINAL + 1 + offset
-        records.append(LevelZeroAssignment(var=1, value=True, antecedent=1))
-        records.append(LearnedClause(cid, (1, 2)))
-        records.append(ClauseDeletion(cid))
-    plan = plan_windows(learned_cids(6), NUM_ORIGINAL, num_windows=3)
-    batches = list(iter_windowed_records(records, plan))
-    assert [len(batch) for _, batch in batches] == [2, 2, 2]
-    assert isinstance(plan, WindowPlan)
