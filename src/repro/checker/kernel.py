@@ -105,7 +105,8 @@ class ResolutionKernel:
         """Validate one learned clause's whole derivation in O(total literals).
 
         ``sources`` are clause IDs in resolution order; ``get_clause``
-        materializes each one (and may raise :class:`CheckFailure` for
+        materializes each one as an interned clause or any re-iterable
+        collection of literals (and may raise :class:`CheckFailure` for
         unknown IDs — it is called lazily, step by step, exactly like the
         reference fold). Returns the interned resolvent. Raises
         :class:`ResolutionError` carrying ``learned_cid``, the 1-based
@@ -116,10 +117,8 @@ class ResolutionKernel:
         if not sources:
             raise ResolutionError("empty resolution chain", learned_cid=learned_cid)
         first = get_clause(sources[0])
-        try:
-            acc = set(first.litset)
-        except AttributeError:
-            acc = set(first)
+        litset = first.litset if type(first) is InternedClause else None
+        acc = set(first if litset is None else litset)
         clash_scan = acc.intersection
         absorb = acc.update
         drop = acc.discard
@@ -130,18 +129,20 @@ class ResolutionKernel:
             # accumulator with the source's negation set yields exactly the
             # accumulator-side clash literals (same set the oracle
             # computes), and absorbing the literal set reuses the hashes
-            # frozen at intern time. Clauses of unknown provenance (plain
-            # iterables, or interned clauses that crossed a process
-            # boundary) get their sets rebuilt here — same semantics,
-            # including duplicate literals and tautological inputs, since
-            # set membership gives every literal its own mark.
-            try:
-                neg_b = clause.negset
+            # frozen at intern time. Plain clauses carry no mark sets: the
+            # original-clause tuples the streaming checker reads straight
+            # from the formula, or interned clauses that crossed a process
+            # boundary. They take the same two set operations over their
+            # literals, with no sets built and no exception raised — same
+            # semantics, including duplicate literals and tautological
+            # inputs, since the clash set and the accumulator are sets.
+            neg_b = clause.negset if type(clause) is InternedClause else None
+            if neg_b is None:
+                lit_b = clause
+                clashing = clash_scan(map(_neg, clause))
+            else:
                 lit_b = clause.litset
-            except AttributeError:
-                lit_b = frozenset(clause)
-                neg_b = frozenset(map(_neg, lit_b))
-            clashing = clash_scan(neg_b)
+                clashing = clash_scan(neg_b)
             if len(clashing) != 1:
                 raise ResolutionError(
                     "resolution requires exactly one clashing variable, "

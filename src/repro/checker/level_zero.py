@@ -69,7 +69,11 @@ class LevelZeroState:
         return info.value != (lit > 0)
 
     def check_all_false(self, cid: int, literals: FrozenSet[int]) -> None:
-        """A conflicting clause must have every literal false at level 0."""
+        """A conflicting clause must have every literal false at level 0.
+
+        A failure names the smallest offending literal, whatever order the
+        caller's clause iterates in.
+        """
         for lit in literals:
             if not self.is_false(lit):
                 raise CheckFailure(
@@ -77,7 +81,7 @@ class LevelZeroState:
                     "final conflicting clause has a literal not falsified "
                     "by the level-0 assignment",
                     cid=cid,
-                    literal=lit,
+                    literal=min(x for x in literals if not self.is_false(x)),
                 )
 
     def check_antecedent(self, cid: int, literals: FrozenSet[int], var: int) -> None:
@@ -85,7 +89,9 @@ class LevelZeroState:
 
         The clause must contain the literal that assigns ``var`` its value,
         and every *other* literal must be false under assignments made
-        strictly earlier — i.e. the clause was unit at assignment time.
+        strictly earlier — i.e. the clause was unit at assignment time. A
+        failure reports the first offending literal in sorted order,
+        whatever order the caller's clause iterates in.
         """
         info = self.info(var)
         implied_lit = var if info.value else -var
@@ -103,23 +109,23 @@ class LevelZeroState:
             other = abs(lit)
             other_info = self._info.get(other)
             if other_info is None or other_info.value == (lit > 0):
-                raise CheckFailure(
-                    FailureKind.BAD_ANTECEDENT,
+                message = (
                     "antecedent clause was not unit: another literal is "
-                    "not falsified at level 0",
-                    cid=cid,
-                    var=var,
-                    literal=lit,
+                    "not falsified at level 0"
                 )
-            if other_info.order >= info.order:
-                raise CheckFailure(
-                    FailureKind.BAD_ANTECEDENT,
+            elif other_info.order >= info.order:
+                message = (
                     "antecedent clause was not unit at assignment time: a "
-                    "literal was falsified only later",
-                    cid=cid,
-                    var=var,
-                    literal=lit,
+                    "literal was falsified only later"
                 )
+            else:
+                continue
+            ordered = sorted(literals)
+            if list(literals) != ordered:
+                self.check_antecedent(cid, ordered, var)
+            raise CheckFailure(
+                FailureKind.BAD_ANTECEDENT, message, cid=cid, var=var, literal=lit
+            )
 
 
 def derive_empty_clause(

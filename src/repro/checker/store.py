@@ -31,12 +31,23 @@ class InternedClause(array):
     entirely on them: set-to-set operations reuse the cached element hashes
     (and skip re-boxing the array's raw ints), which is what makes the
     chain O(total literals) with no per-literal Python bytecode. Both are
-    derived data — a clause that lost them (e.g. crossing a process
-    boundary, since ``array`` pickling drops slot attributes) is rebuilt
-    on first use by the kernel.
+    derived data and do not cross a pickle: a copy from another process
+    comes back with both set to ``None``, and the kernel resolves it like
+    any plain clause.
     """
 
     __slots__ = ("litset", "negset")
+    litset: frozenset | None
+    negset: frozenset | None
+
+    def __reduce_ex__(self, protocol):
+        return (_unpickled_clause, (self.tolist(),))
+
+
+def _unpickled_clause(literals: list[int]) -> InternedClause:
+    clause = InternedClause("i", literals)
+    clause.litset = clause.negset = None
+    return clause
 
 
 def _attach_marksets(clause: InternedClause, litset: frozenset | None = None) -> None:

@@ -20,18 +20,26 @@ resident. This checker is that idea on top of the repo's BF machinery:
   (:func:`~repro.trace.binary_format.scan_mapped_learned`) additionally
   records each clause's *last use* — the stream position of its final
   reference — which orders the window's retirement decisions.
-* **Bounded residency, never memory-out.** Resident clauses are bounded
-  by ``memory_budget`` (logical units, the ``--memory-window`` budget).
-  When the window overflows, cached original clauses are dropped first
-  (re-materializable from the formula); then learned clauses are
-  *spilled* to a temp file — farthest last use first, so the clauses the
-  proof needs soonest stay hot — and transparently reloaded on demand.
-  Unlike every other checker, exceeding the budget is therefore never a
-  failure: this is the supervisor's last-resort tier that trades disk
-  traffic for a hard memory ceiling.
+* **Originals are read from the formula.** The checker holds only the
+  clauses the trace defines: learned clauses. An original clause is the
+  caller's :class:`~repro.cnf.CnfFormula` entry, handed to the kernel as
+  the deduplicated literal tuple the formula already holds. It is never
+  copied, interned or counted, so there is nothing to evict.
+* **Bounded residency, never memory-out.** Resident learned clauses are
+  bounded by ``memory_budget`` (logical units, the ``--memory-window``
+  budget). Like BF's meter, the budget never counts originals. When the
+  window overflows, learned clauses are *spilled* to a temp file —
+  farthest last use first, so the clauses the proof needs soonest stay
+  hot — and transparently reloaded on demand. Unlike every other
+  checker, exceeding the budget is therefore never a failure: this is
+  the supervisor's last-resort tier that trades disk traffic for a hard
+  memory ceiling.
 
-Verdicts are byte-identical to BF/DF: the same build, consume and
-level-zero derivation code paths run, only residency management differs.
+Verdicts are byte-identical to BF/DF, failure context included: the
+same build, consume and level-zero derivation code paths run, and the
+level-zero checks name an offending literal in sorted order whether a
+clause arrives as the formula's tuple or as a sorted interned array.
+Only residency management differs.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ from array import array
 from heapq import heappop, heappush
 from itertools import islice
 from pathlib import Path
-from typing import IO, Iterator, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 from repro.checker.counts import CountsReader, new_counts_file, write_count_range
 from repro.checker.errors import CheckFailure, FailureKind
@@ -105,18 +113,17 @@ class StreamingWindowChecker:
         self._tmp_dir = str(tmp_dir) if tmp_dir is not None else None
         self._deadline = deadline
         self._num_original: int | None = None
+        self._originals = formula.clauses
         self._total_learned = 0
         self._clauses_built = 0
         self._resolutions = 0
         # Residency state. ``_resident`` holds learned clauses, keyed by
-        # cid; ``_orig_cache`` caches materialized originals separately so
-        # the budget can reclaim them without spilling (they rebuild from
-        # the formula). ``_resident_units`` is what ``memory_budget``
-        # bounds — learned + cached-original clause units, excluding the
-        # O(num_vars) level-zero trail.
+        # cid; originals are never resident (``_get_clause`` reads them
+        # from the formula). ``_resident_units`` is what ``memory_budget``
+        # bounds — learned clause units only, excluding the O(num_vars)
+        # level-zero trail.
         self._resident: dict[int, ClauseLits] = {}
         self._remaining: dict[int, int] = {}
-        self._orig_cache: dict[int, ClauseLits] = {}
         self._resident_units = 0
         self._peak_resident_units = 0
         # Retirement order: a lazy-deletion heap of (-key, cid). With last
@@ -133,7 +140,6 @@ class StreamingWindowChecker:
         self._spill_index: dict[int, tuple[int, int]] = {}
         self.spills = 0
         self.reloads = 0
-        self._orig_evictions = 0
         self._mapped: MappedBinaryTrace | None = None
 
     # -- public API ----------------------------------------------------------
@@ -416,19 +422,14 @@ class StreamingWindowChecker:
     def _enforce_budget(self) -> None:
         """Shrink the window back under ``memory_budget``.
 
-        Cached originals go first (free to rebuild); then learned clauses
-        spill in retirement order. Runs only between builds, so everything
-        a resolution chain currently references stays alive through plain
-        Python references even if its store entry is evicted.
+        Learned clauses spill in retirement order. Runs only between
+        builds, so everything a resolution chain currently references
+        stays alive through plain Python references even if its store
+        entry is evicted.
         """
         budget = self._budget
         if budget is None:
             return
-        while self._resident_units > budget and self._orig_cache:
-            cid, clause = self._orig_cache.popitem()
-            self._resident_units -= self._clause_units(clause)
-            self._engine.release(clause)
-            self._orig_evictions += 1
         heap = self._evict_heap
         while self._resident_units > budget and heap:
             _, cid = heappop(heap)
@@ -440,54 +441,22 @@ class StreamingWindowChecker:
         # than one window batch's live clauses), residency is best-effort —
         # by contract this checker degrades, it never fails.
 
-    def _trim_originals(self, keep: int) -> None:
-        """Evict oldest cached originals until back under budget.
-
-        Called from the hot lookup path (including the final trail walk,
-        which touches O(num_vars) antecedents), so unlike
-        :meth:`_enforce_budget` it never touches the spill heap — it only
-        sheds re-materializable originals, oldest first, keeping the entry
-        just handed out.
-        """
-        budget = self._budget
-        if budget is None:
-            return
-        cache = self._orig_cache
-        while self._resident_units > budget and len(cache) > 1:
-            old_cid = next(iter(cache))
-            if old_cid == keep:
-                break
-            old = cache.pop(old_cid)
-            self._resident_units -= self._clause_units(old)
-            self._engine.release(old)
-            self._orig_evictions += 1
-
     def _get_clause(self, cid: int) -> ClauseLits:
-        assert self._num_original is not None
+        num_original = self._num_original
+        assert num_original is not None
+        if cid <= num_original:
+            # Read straight from the formula: never copied, interned or
+            # counted against the budget. The lower bound keeps 0 and
+            # negative IDs from indexing round to the last clause.
+            if cid > 0:
+                return self._originals[cid - 1].literals
+            raise CheckFailure(
+                FailureKind.UNKNOWN_CLAUSE,
+                "trace references an original clause absent from the formula",
+                cid=cid,
+            )
         clause = self._resident.get(cid)
         if clause is not None:
-            return clause
-        if cid <= self._num_original:
-            clause = self._orig_cache.get(cid)
-            if clause is not None:
-                return clause
-            # Materialized on demand and *cached with eviction*, unlike the
-            # other checkers' engine.original() path, whose cache pins
-            # every original for the run's lifetime.
-            try:
-                literals = self.formula[cid].literals
-            except KeyError:
-                raise CheckFailure(
-                    FailureKind.UNKNOWN_CLAUSE,
-                    "trace references an original clause absent from the formula",
-                    cid=cid,
-                ) from None
-            clause = self._engine.materialize(literals)
-            self._orig_cache[cid] = clause
-            self._resident_units += self._clause_units(clause)
-            if self._resident_units > self._peak_resident_units:
-                self._peak_resident_units = self._resident_units
-            self._trim_originals(keep=cid)
             return clause
         if cid in self._spill_index:
             return self._reload(cid)
@@ -498,28 +467,36 @@ class StreamingWindowChecker:
             cid=cid,
         )
 
-    def _consume_use(self, cid: int) -> None:
-        """Decrement a clause's remaining-use counter; free/forget at zero."""
-        assert self._num_original is not None
-        if cid <= self._num_original:
-            return
-        remaining = self._remaining.get(cid)
-        if remaining is None:
-            return
-        if remaining > 1:
-            self._remaining[cid] = remaining - 1
-            return
-        del self._remaining[cid]
-        clause = self._resident.pop(cid, None)
-        if clause is not None:
-            units = self._clause_units(clause)
-            self._resident_units -= units
-            self.meter.release(units)
-            self._engine.release(clause)
-        else:
-            # Fully consumed while spilled: its bytes just become dead
-            # space in the spill file (reclaimed when the file is deleted).
-            self._spill_index.pop(cid, None)
+    def _consume_uses(self, cids: Iterable[int]) -> None:
+        """Decrement each clause's remaining-use counter; free/forget at zero.
+
+        Takes a whole resolve chain per call: the loop runs for every
+        source in the trace, where a method call each costs more than the
+        decrement itself.
+        """
+        num_original = self._num_original
+        assert num_original is not None
+        remaining_map = self._remaining
+        for cid in cids:
+            if cid <= num_original:
+                continue
+            remaining = remaining_map.get(cid)
+            if remaining is None:
+                continue
+            if remaining > 1:
+                remaining_map[cid] = remaining - 1
+                continue
+            del remaining_map[cid]
+            clause = self._resident.pop(cid, None)
+            if clause is not None:
+                units = self._clause_units(clause)
+                self._resident_units -= units
+                self.meter.release(units)
+                self._engine.release(clause)
+            else:
+                # Fully consumed while spilled: its bytes just become dead
+                # space in the spill file (reclaimed when the file is deleted).
+                self._spill_index.pop(cid, None)
 
     # -- pass 2: windowed checking --------------------------------------------
 
@@ -547,8 +524,7 @@ class StreamingWindowChecker:
             raise
         self._resolutions += len(sources) - 1
         self._clauses_built += 1
-        for source in sources:
-            self._consume_use(source)
+        self._consume_uses(sources)
         total_uses = counts.read(cid)
         if total_uses == 0:
             self._engine.release(clause)
@@ -625,15 +601,14 @@ class StreamingWindowChecker:
                 "trace has no final conflicting clause",
             )
         final_cid = final_conflicts[0]
-        for unused_cid in final_conflicts[1:]:
-            self._consume_use(unused_cid)
+        self._consume_uses(final_conflicts[1:])
         level_zero = LevelZeroState(level_zero_entries)
         steps = derive_empty_clause(
             final_cid,
             self._get_clause(final_cid),
             level_zero,
             get_clause=self._get_clause,
-            on_use=self._consume_use,
+            on_use=lambda cid: self._consume_uses((cid,)),
             resolve_fn=self._engine.resolve,
             deadline=self._deadline,
         )
@@ -650,7 +625,6 @@ class StreamingWindowChecker:
                 "peak_resident_units": self._peak_resident_units,
                 "spilled_clauses": self.spills,
                 "reloaded_clauses": self.reloads,
-                "evicted_originals": self._orig_evictions,
                 "windows": self._window.index,
             }
         )

@@ -198,11 +198,14 @@ def _execute_task(task: dict, warm: _WarmCache) -> dict:
         }
 
 
-def _worker_main(name: str, conn, warm_config: tuple) -> None:
-    """The long-lived worker loop: recv task, check, send result, repeat."""
+def _worker_main(name: str, conn, warm_config: tuple, parent: int) -> None:
+    """The long-lived worker loop: recv task, check, send result, repeat.
+
+    ``parent`` is the daemon's PID from before the fork, so a worker whose
+    daemon died before it ran still sees itself orphaned.
+    """
     warm = _WarmCache(*warm_config)
     set_warm_store_provider(_registry_provider)
-    parent = os.getppid()
     while True:
         try:
             # recv() alone cannot detect a SIGKILLed parent: fork-context
@@ -334,7 +337,7 @@ class WorkerPool:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
             target=_worker_main,
-            args=(name, child_conn, self._warm_config),
+            args=(name, child_conn, self._warm_config, os.getpid()),
             name=name,
             daemon=True,
         )

@@ -38,10 +38,17 @@ def _oracle_outcome(chain, learned_cid=99):
         return ("err", exc.context)
 
 
-def _kernel_outcome(chain, learned_cid=99, raw_sources=False):
+def _kernel_outcome(chain, learned_cid=99, raw_sources=False, plain=None):
+    """``plain``, when given, marks per position which sources are plain
+    tuples (duplicates kept) rather than interned clauses."""
     kernel = ResolutionKernel(num_vars=8)
     if raw_sources:
         table = {cid: list(lits) for cid, lits in enumerate(chain, start=1)}
+    elif plain is not None:
+        table = {
+            cid: tuple(lits) if is_plain else kernel.intern(lits)
+            for cid, (lits, is_plain) in enumerate(zip(chain, plain), start=1)
+        }
     else:
         table = {cid: kernel.intern(lits) for cid, lits in enumerate(chain, start=1)}
     sources = tuple(range(1, len(chain) + 1))
@@ -52,9 +59,11 @@ def _kernel_outcome(chain, learned_cid=99, raw_sources=False):
         return ("err", exc.context)
 
 
-def _assert_equivalent(chain, raw_sources=False):
+def _assert_equivalent(chain, raw_sources=False, plain=None):
     oracle_kind, oracle_value = _oracle_outcome(chain)
-    kernel_kind, kernel_value = _kernel_outcome(chain, raw_sources=raw_sources)
+    kernel_kind, kernel_value = _kernel_outcome(
+        chain, raw_sources=raw_sources, plain=plain
+    )
     assert kernel_kind == oracle_kind, (chain, oracle_value, kernel_value)
     if oracle_kind == "ok":
         assert frozenset(kernel_value) == oracle_value
@@ -78,6 +87,19 @@ def test_chain_equivalence_with_uninterned_sources(chain):
     # get_clause may hand the kernel plain lists (no cached mark sets);
     # the fallback path must keep the exact oracle semantics.
     _assert_equivalent(chain, raw_sources=True)
+
+
+mixed_chains = st.lists(st.tuples(clauses, st.booleans()), min_size=1, max_size=6)
+
+
+@given(mixed_chains)
+@settings(max_examples=300)
+def test_chain_equivalence_on_mixed_interned_and_plain_sources(mixed):
+    # The streaming checker hands the kernel original clauses as the
+    # formula's plain tuples, next to interned learned clauses; each
+    # position here is independently one or the other.
+    chain = [lits for lits, _ in mixed]
+    _assert_equivalent(chain, plain=[is_plain for _, is_plain in mixed])
 
 
 def test_valid_chain_matches_oracle():
@@ -213,12 +235,13 @@ def test_interned_clause_carries_cached_mark_sets():
 
 
 def test_interned_clause_survives_pickling_without_mark_sets():
-    # array subclasses pickle their buffer but drop slot attributes; the
-    # kernel must still resolve with such a clause via the fallback path.
+    # Mark sets do not cross a pickle; the kernel must still resolve with
+    # such a clause, through its plain-clause branch.
     store = ClauseStore()
     clause = pickle.loads(pickle.dumps(store.intern([1, 2])))
     assert isinstance(clause, InternedClause)
     assert list(clause) == [1, 2]
+    assert clause.litset is None and clause.negset is None
     kernel = ResolutionKernel(num_vars=4)
     table = {1: clause, 2: kernel.intern([-1, 3])}
     assert list(kernel.resolve_chain(5, (1, 2), table.__getitem__)) == [2, 3]

@@ -4,8 +4,8 @@ The streaming tier's contract has two halves, each pinned here:
 
 * **Verdict parity** — on any trace (clean or corrupted, pruned or not,
   in-memory or mmap'd binary) the streaming checker must agree with
-  breadth-first byte for byte: same verdict, same failure kind, same
-  build/resolution counts on the clean path.
+  breadth-first byte for byte: same verdict, same failure kind, message
+  and context, same build/resolution counts on the clean path.
 * **Bounded residency** — ``memory_budget`` caps the resident clause set;
   overflow spills instead of failing, so it is the one checker that can
   never memory-out (which is why the fallback ladder swaps it in for BF
@@ -103,6 +103,29 @@ def dump_binary(trace, path):
     return True
 
 
+def dump_ascii(trace, path, first_source=None):
+    """Replay an in-memory trace into the ASCII format. ``first_source``,
+    when given, replaces the first learned clause's first resolve source."""
+    from repro.trace.io import open_trace_writer
+
+    writer = open_trace_writer(path, fmt="ascii")
+    writer.header(trace.header.num_vars, trace.header.num_original_clauses)
+    for record in trace.records():
+        if isinstance(record, LearnedClause):
+            sources = tuple(record.sources)
+            if first_source is not None:
+                sources = (first_source,) + sources[1:]
+                first_source = None
+            writer.learned_clause(record.cid, sources)
+        elif isinstance(record, LevelZeroAssignment):
+            writer.level_zero(record.var, record.value, record.antecedent)
+        elif isinstance(record, FinalConflict):
+            writer.final_conflict(record.cid)
+        elif isinstance(record, TraceResult):
+            writer.result(record.status)
+    writer.close()
+
+
 # -- verdict parity -----------------------------------------------------------
 
 
@@ -136,8 +159,18 @@ def test_budgeted_runs_keep_the_verdict(tmp_path, budget):
 
 @pytest.mark.parametrize("bug", TRACE_BUGS)
 def test_fault_matrix_parity_with_breadth_first(tmp_path, bug):
-    """Every corrupted trace BF rejects, streaming rejects too — and with
-    the same failure kind, on both the in-memory and the mmap'd path."""
+    """Every corrupted trace BF rejects, streaming rejects too — with the
+    same failure kind, message and context, on both the in-memory and the
+    mmap'd path, bounded or not."""
+
+    def same_failure(report, bf):
+        assert report.verified == bf.verified
+        if not bf.verified:
+            assert report.failure is not None
+            assert report.failure.kind == bf.failure.kind
+            assert report.failure.message == bf.failure.message
+            assert report.failure.context == bf.failure.context
+
     fired = 0
     for seed in range(8):
         formula = pigeonhole(6, 5)
@@ -146,19 +179,57 @@ def test_fault_matrix_parity_with_breadth_first(tmp_path, bug):
             continue
         fired += 1
         bf = BreadthFirstChecker(formula, trace).check()
-        streaming = StreamingWindowChecker(formula, trace, memory_budget=100).check()
-        assert streaming.verified == bf.verified
-        if not bf.verified:
-            assert streaming.failure is not None
-            assert streaming.failure.kind == bf.failure.kind
+        for budget in (None, 100):
+            same_failure(
+                StreamingWindowChecker(formula, trace, memory_budget=budget).check(), bf
+            )
 
         path = str(tmp_path / f"{bug.name}_{seed}.rtb")
         if dump_binary(trace, path):
-            mapped = StreamingWindowChecker(formula, path, memory_budget=100).check()
-            assert mapped.verified == bf.verified
-            if not bf.verified:
-                assert mapped.failure.kind == bf.failure.kind
+            same_failure(
+                StreamingWindowChecker(formula, path, memory_budget=100).check(), bf
+            )
     assert fired > 0, f"bug {bug} never fired in 8 seeds"
+
+
+def _level_zero_trace(num_vars, num_original, trail, final_cid):
+    writer = InMemoryTraceWriter()
+    writer.header(num_vars, num_original)
+    for var, value, antecedent in trail:
+        writer.level_zero(var, value, antecedent)
+    writer.final_conflict(final_cid)
+    writer.result("UNSAT")
+    return writer.to_trace()
+
+
+@pytest.mark.parametrize(
+    "clauses, trail, final_cid, literal",
+    [
+        # Final conflict (-2 -3) with neither literal false: both offend.
+        ([[-2, -3]], [], 1, -3),
+        # Antecedent (2 4 -3) of var 2: 4 is unassigned, -3 is falsified
+        # only later. The formula's order meets 4 first, sorted order -3.
+        ([[1], [2, 4, -3], [3], [-2]], [(1, True, 1), (2, True, 2), (3, True, 3)], 4, -3),
+    ],
+    ids=["final-conflict", "antecedent"],
+)
+def test_level_zero_failures_on_originals_match_breadth_first(
+    clauses, trail, final_cid, literal
+):
+    """Originals reach the level-zero checks in the formula's literal
+    order; a clause with several offending literals must still report the
+    literal and message BF reports from its sorted clauses."""
+    from repro.cnf import CnfFormula
+
+    formula = CnfFormula(4, clauses)
+    trace = _level_zero_trace(4, len(clauses), trail, final_cid)
+    bf = BreadthFirstChecker(formula, trace).check()
+    assert bf.failure.context["literal"] == literal
+    for budget in (None, 1):
+        report = StreamingWindowChecker(formula, trace, memory_budget=budget).check()
+        assert report.failure.kind == bf.failure.kind
+        assert report.failure.message == bf.failure.message
+        assert report.failure.context == bf.failure.context
 
 
 def test_prune_plan_parity(tmp_path):
@@ -214,16 +285,78 @@ def test_budget_bounds_residency_and_spills_engage(tmp_path):
     assert bounded.verified
     memory = bounded.memory
     assert memory["budget_units"] == budget
-    # Slack: one in-flight build plus the original handed to the caller.
+    # Slack: the in-flight build and the sources it reloads, admitted
+    # before the window spills back under the budget.
     assert memory["peak_resident_units"] <= budget + 64
     assert memory["peak_resident_units"] < free_peak
     assert memory["spilled_clauses"] > 0
     assert memory["reloaded_clauses"] == memory["spilled_clauses"]
-    assert memory["evicted_originals"] > 0
     assert memory["peak_unique_clauses"] < unbounded.memory["peak_unique_clauses"]
     # Same proof replayed, spills notwithstanding.
     assert bounded.clauses_built == unbounded.clauses_built
     assert bounded.resolutions == unbounded.resolutions
+
+
+def test_originals_occupy_no_window_units(tmp_path):
+    """Unbounded, the window holds what BF's meter counts or less: learned
+    clauses only, never the formula's originals."""
+    formula = pigeonhole(6, 5)
+    trace = solved_trace(formula)
+    path = str(tmp_path / "php.rtb")
+    assert dump_binary(trace, path)
+    for source in (trace, path):
+        bf = BreadthFirstChecker(formula, source).check()
+        streaming = StreamingWindowChecker(formula, source).check()
+        assert bf.verified and streaming.verified
+        assert streaming.memory["peak_resident_units"] <= bf.peak_memory_units
+
+
+def test_budget_below_the_formula_materializes_only_reloads(tmp_path, monkeypatch):
+    """A budget smaller than the originals alone still verifies, and the
+    only clauses the checker materializes are spilled learned clauses
+    coming back: originals are read from the formula, never rebuilt."""
+    from repro.checker.kernel import KernelEngine
+    from repro.checker.memory import MemoryMeter
+
+    formula = pigeonhole(6, 5)
+    trace = solved_trace(formula)
+    path = str(tmp_path / "php.rtb")
+    assert dump_binary(trace, path)
+    meter = MemoryMeter()
+    original_units = sum(meter.clause_units(len(clause)) for clause in formula)
+    assert original_units == 342
+    budget = 20
+    calls = []
+    materialize = KernelEngine.materialize
+
+    def counting(self, literals):
+        calls.append(1)
+        return materialize(self, literals)
+
+    monkeypatch.setattr(KernelEngine, "materialize", counting)
+    report = StreamingWindowChecker(formula, path, memory_budget=budget).check()
+    assert report.verified
+    assert report.memory["reloaded_clauses"] > 0
+    assert len(calls) == report.memory["reloaded_clauses"]
+
+
+@pytest.mark.parametrize("bad_source", [0, -2])
+def test_nonpositive_source_is_an_unknown_clause(tmp_path, bad_source):
+    """IDs 0 and below name no original clause: they must not index round
+    to the formula's last clauses."""
+    formula = pigeonhole(6, 5)
+    trace = solved_trace(formula)
+    path = str(tmp_path / "bad.trace")
+    dump_ascii(trace, path, first_source=bad_source)
+    reports = [
+        BreadthFirstChecker(formula, path).check(),
+        StreamingWindowChecker(formula, path).check(),
+        StreamingWindowChecker(formula, path, memory_budget=50).check(),
+    ]
+    for report in reports:
+        assert not report.verified
+        assert report.failure.kind.value == "unknown-clause"
+        assert report.failure.context["cid"] == bad_source
 
 
 def test_window_stats_report_the_shifting_window(tmp_path):
@@ -436,21 +569,8 @@ def test_truncated_trace_is_a_structured_verdict_not_a_crash(tmp_path):
 def test_streaming_reads_ascii_traces_through_the_generic_path(tmp_path):
     formula = pigeonhole(6, 5)
     trace = solved_trace(formula)
-    from repro.trace.io import open_trace_writer
-
     path = str(tmp_path / "php.trace")
-    writer = open_trace_writer(path, fmt="ascii")
-    writer.header(trace.header.num_vars, trace.header.num_original_clauses)
-    for record in trace.records():
-        if isinstance(record, LearnedClause):
-            writer.learned_clause(record.cid, record.sources)
-        elif isinstance(record, LevelZeroAssignment):
-            writer.level_zero(record.var, record.value, record.antecedent)
-        elif isinstance(record, FinalConflict):
-            writer.final_conflict(record.cid)
-        elif isinstance(record, TraceResult):
-            writer.result(record.status)
-    writer.close()
+    dump_ascii(trace, path)
     report = StreamingWindowChecker(formula, path, memory_budget=150).check()
     bf = BreadthFirstChecker(formula, path).check()
     assert report.verified and bf.verified

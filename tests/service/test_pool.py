@@ -122,6 +122,37 @@ def test_crash_past_attempt_budget_quarantines_the_job(artifacts, tmp_path, monk
 # -- warm caches ---------------------------------------------------------------
 
 
+def test_worker_exits_when_its_daemon_died_before_it_started():
+    """A daemon killed between the fork and the worker's first line leaves
+    the worker reparented from the start. It must still exit instead of
+    holding the dead daemon's stdio open (the chaos drills' 180 s hangs)."""
+    import multiprocessing
+    import os
+
+    from repro.service.pool import PARENT_POLL_S, _worker_main
+
+    ctx = multiprocessing.get_context("fork")
+    parent_conn, child_conn = ctx.Pipe(duplex=True)
+    # The daemon PID the pool recorded before the fork; the worker's real
+    # parent (this process) differs, as after the daemon's death.
+    not_my_parent = os.getpid() + 1_000_000
+    worker = ctx.Process(
+        target=_worker_main,
+        args=("pool-worker-test", child_conn, (4, 4, 4), not_my_parent),
+        daemon=True,
+    )
+    worker.start()
+    try:
+        worker.join(timeout=PARENT_POLL_S * 10)
+        assert not worker.is_alive(), "orphaned worker kept running"
+    finally:
+        if worker.is_alive():
+            worker.kill()
+            worker.join(timeout=5)
+        parent_conn.close()
+        child_conn.close()
+
+
 def test_warm_formula_cache_reused_across_jobs(artifacts, tmp_path):
     """N jobs on one formula parse the DIMACS once per worker, visibly."""
     _, cnf, ascii_path, _ = artifacts
