@@ -46,7 +46,6 @@ from repro.checker.kernel import (
     ResolutionKernel,
     make_engine,
 )
-from repro.checker.store import ClauseStore
 from repro.checker.model import check_model
 from repro.checker.precheck import run_precheck
 from repro.checker.depth_first import DepthFirstChecker
@@ -80,7 +79,6 @@ __all__ = [
     "CheckTimeout",
     "Deadline",
     "ResolutionKernel",
-    "ClauseStore",
     "KernelEngine",
     "ReferenceEngine",
     "make_engine",

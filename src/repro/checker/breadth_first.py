@@ -563,7 +563,8 @@ class BreadthFirstChecker:
             ),
             records_consumed=records_consumed,
             last_cid=last_cid,
-            resident={cid: tuple(lits) for cid, lits in self._resident.items()},
+            # Kernel clauses are sets: sort, so equal states snapshot equally.
+            resident={cid: tuple(sorted(lits)) for cid, lits in self._resident.items()},
             remaining=dict(self._remaining),
             level_zero=[(e.var, e.value, e.antecedent) for e in level_zero_entries],
             final_conflicts=list(final_conflicts),

@@ -13,6 +13,8 @@ core of the input formula.
 from __future__ import annotations
 
 import time
+from types import MappingProxyType
+from typing import Mapping
 
 from repro.checker.errors import CheckFailure, FailureKind
 from repro.checker.kernel import ClauseLits, engine_memory_stats, make_engine
@@ -106,6 +108,11 @@ class DepthFirstChecker:
             prune=self._plan.to_dict() if self._plan is not None else None,
             memory=engine_memory_stats(self._engine, self.meter),
         )
+
+    @property
+    def built(self) -> Mapping[int, ClauseLits]:
+        """Read-only view of every clause built so far, originals included."""
+        return MappingProxyType(self._built)
 
     # -- internals -------------------------------------------------------------
 

@@ -7,20 +7,22 @@ total number of literals. The kernel does the whole chain in O(total
 literals), marking the accumulator instead of materializing intermediates:
 
 * The accumulator is one mutable mark set of the literals derived so far.
-  Every interned clause carries frozen ``litset``/``negset`` mark sets
-  (:class:`~repro.checker.store.InternedClause`), so each source clause is
-  validated with exact one-clash semantics in three C-speed set
-  operations: intersecting the accumulator with the source's negation set
-  yields the accumulator-side clash literals (exactly the oracle's clash
-  set), then the accumulator absorbs the source's literal set — reusing
-  the hashes frozen at intern time — and drops the pivot pair. No
+  A kernel clause (:class:`FrozenClause`) *is* the frozenset of its
+  literals and carries the frozenset of their negations in one slot, so
+  each source clause is validated with exact one-clash semantics in three
+  C-speed set operations: intersecting the accumulator with the source's
+  negation set yields the accumulator-side clash literals (exactly the
+  oracle's clash set), then the accumulator absorbs the source itself —
+  reusing the hashes frozen with it — and drops the pivot pair. No
   per-literal Python bytecode runs on the chain hot path.
 * Zero or multiple clashes raise
   :class:`~repro.checker.resolution.ResolutionError` with the same
   ``BAD_RESOLUTION`` semantics as the oracle, plus the chain position and
   the learned clause being derived.
-* The final resolvent is emitted once, as a sorted ``array('i')`` interned
-  in a :class:`~repro.checker.store.ClauseStore`.
+* The final resolvent is emitted once, by freezing the accumulator. Kernel
+  clauses are not shared by content: checkers retire them by clause ID
+  and last use, so the kernel only counts how many are live (the
+  ``peak_unique_clauses`` memory statistic).
 * Single-step :meth:`ResolutionKernel.resolve` (the final level-zero
   derivation's workhorse) keeps a reusable generation-stamped flat mark
   buffer: one slot per literal, cleared in O(1) by bumping the generation.
@@ -38,23 +40,42 @@ from typing import Callable, Iterable, Sequence
 
 from repro.checker.errors import CheckFailure, FailureKind
 from repro.checker.resolution import ResolutionError, resolve
-from repro.checker.store import ClauseStore, InternedClause
 
 ClauseLits = Iterable[int]
 
 
-class ResolutionKernel:
-    """Marking-based resolution over interned clauses.
+class FrozenClause(frozenset):
+    """A kernel clause: the frozenset of its literals, plus their negations.
 
-    One instance per checker: the clause store (and single-step
-    :meth:`resolve`'s flat mark buffer) are reused across every chain the
-    checker validates.
+    ``negset`` is computed once, when the clause is frozen; the chain loop
+    clash-scans it and absorbs the clause itself, so both set operations
+    reuse hashes computed at freeze time. The slot survives pickling, so a
+    clause that crossed a process boundary still takes the set path.
     """
 
-    __slots__ = ("store", "_marks", "_cap", "_gen")
+    __slots__ = ("negset",)
+    negset: frozenset
 
-    def __init__(self, num_vars: int = 0, store: ClauseStore | None = None):
-        self.store = store if store is not None else ClauseStore()
+    def __reduce__(self):
+        # Python 3.10's frozenset reduce drops slot state; carry it here.
+        return (FrozenClause, (list(self),), (None, {"negset": self.negset}))
+
+
+class ResolutionKernel:
+    """Marking-based resolution over :class:`FrozenClause` clauses.
+
+    One instance per checker: the live-clause count (and single-step
+    :meth:`resolve`'s flat mark buffer) span every chain the checker
+    validates.
+    """
+
+    __slots__ = ("live", "peak_live", "_marks", "_cap", "_gen")
+
+    def __init__(self, num_vars: int = 0):
+        # Kernel clauses frozen and not yet released, and the high-water
+        # mark of that count.
+        self.live = 0
+        self.peak_live = 0
         # literal -> generation stamp, indexed *directly* by the literal:
         # positive literals live at marks[lit], negative ones wrap around
         # to the tail via Python's negative indexing (marks[-v] is slot
@@ -82,7 +103,7 @@ class ResolutionKernel:
         self._marks = new
 
     def _max_var(self, clause: ClauseLits) -> int:
-        """Largest variable in a clause; O(1) for the store's sorted arrays."""
+        """Largest variable in a clause; O(1) for :meth:`resolve`'s sorted arrays."""
         if isinstance(clause, array):
             if not clause:
                 return 0
@@ -90,9 +111,14 @@ class ResolutionKernel:
             return hi if hi > -lo else -lo
         return max(map(abs, clause), default=0)
 
-    def intern(self, literals: ClauseLits) -> array:
-        """Intern a clause (used for original clauses from the formula)."""
-        return self.store.intern(literals)
+    def freeze(self, literals: ClauseLits) -> FrozenClause:
+        """Freeze literals into a live kernel clause (duplicates collapse)."""
+        clause = FrozenClause(literals)
+        clause.negset = frozenset(map(_neg, clause))
+        self.live = live = self.live + 1
+        if live > self.peak_live:
+            self.peak_live = live
+        return clause
 
     # -- the chain kernel -----------------------------------------------------
 
@@ -101,14 +127,14 @@ class ResolutionKernel:
         learned_cid: int | None,
         sources: Sequence[int],
         get_clause: Callable[[int], ClauseLits],
-    ) -> array:
+    ) -> FrozenClause:
         """Validate one learned clause's whole derivation in O(total literals).
 
         ``sources`` are clause IDs in resolution order; ``get_clause``
-        materializes each one as an interned clause or any re-iterable
+        materializes each one as a :class:`FrozenClause` or any re-iterable
         collection of literals (and may raise :class:`CheckFailure` for
         unknown IDs — it is called lazily, step by step, exactly like the
-        reference fold). Returns the interned resolvent. Raises
+        reference fold). Returns the frozen resolvent. Raises
         :class:`ResolutionError` carrying ``learned_cid``, the 1-based
         ``chain_position`` of the offending source, its ``cid_b`` and the
         ``clashing_vars`` — the same diagnostics as the fixed
@@ -116,33 +142,28 @@ class ResolutionKernel:
         """
         if not sources:
             raise ResolutionError("empty resolution chain", learned_cid=learned_cid)
-        first = get_clause(sources[0])
-        litset = first.litset if type(first) is InternedClause else None
-        acc = set(first if litset is None else litset)
+        acc = set(get_clause(sources[0]))
         clash_scan = acc.intersection
         absorb = acc.update
         drop = acc.discard
+        frozen = FrozenClause
         for position in range(1, len(sources)):
             source = sources[position]
             clause = get_clause(source)
-            # The cached mark sets keep every step in C: intersecting the
-            # accumulator with the source's negation set yields exactly the
+            # A kernel clause keeps every step in C: intersecting the
+            # accumulator with its negation set yields exactly the
             # accumulator-side clash literals (same set the oracle
-            # computes), and absorbing the literal set reuses the hashes
-            # frozen at intern time. Plain clauses carry no mark sets: the
-            # original-clause tuples the streaming checker reads straight
-            # from the formula, or interned clauses that crossed a process
-            # boundary. They take the same two set operations over their
-            # literals, with no sets built and no exception raised — same
-            # semantics, including duplicate literals and tautological
-            # inputs, since the clash set and the accumulator are sets.
-            neg_b = clause.negset if type(clause) is InternedClause else None
-            if neg_b is None:
-                lit_b = clause
-                clashing = clash_scan(map(_neg, clause))
+            # computes), and absorbing the clause reuses its frozen hashes.
+            # Plain clauses — the original-clause tuples the streaming
+            # checker reads straight from the formula — take the same two
+            # set operations over their literals, with no sets built and
+            # no exception raised: same semantics, including duplicate
+            # literals and tautological inputs, since the clash set and
+            # the accumulator are sets.
+            if type(clause) is frozen:
+                clashing = clash_scan(clause.negset)
             else:
-                lit_b = clause.litset
-                clashing = clash_scan(neg_b)
+                clashing = clash_scan(map(_neg, clause))
             if len(clashing) != 1:
                 raise ResolutionError(
                     "resolution requires exactly one clashing variable, "
@@ -153,14 +174,12 @@ class ResolutionKernel:
                     clashing_vars=sorted(abs(lit) for lit in clashing),
                 )
             (pivot_neg,) = clashing
-            absorb(lit_b)
+            absorb(clause)
             # Drop both phases of the pivot variable: ``pivot_neg`` is the
             # accumulator side, its negation the side the source brought in.
             drop(pivot_neg)
             drop(-pivot_neg)
-        return self.store.intern_sorted(
-            InternedClause("i", sorted(acc)), litset=frozenset(acc)
-        )
+        return self.freeze(acc)
 
     # -- the single-step kernel ------------------------------------------------
 
@@ -176,7 +195,7 @@ class ResolutionKernel:
         Same contract and error context as the frozenset oracle
         :func:`~repro.checker.resolution.resolve`; returns a plain sorted
         ``array('i')`` (final-derivation intermediates are transient, so
-        they are not interned).
+        they are not frozen or counted).
         """
         self._gen = gen = self._gen + 1
         high = self._max_var(clause_a)
@@ -249,27 +268,28 @@ class _EngineBase:
 
 
 class KernelEngine(_EngineBase):
-    """Marking-array resolution over the interned clause store (the default)."""
+    """Set-algebra chain resolution over :class:`FrozenClause` (the default)."""
 
     name = "kernel"
 
-    def __init__(self, formula, store: ClauseStore | None = None):
+    def __init__(self, formula):
         super().__init__(formula)
         num_vars = formula.num_vars if formula is not None else 0
-        self.kernel = ResolutionKernel(num_vars=num_vars, store=store)
-        self.store = self.kernel.store
+        self.kernel = ResolutionKernel(num_vars=num_vars)
 
-    def materialize(self, literals: ClauseLits) -> array:
-        return self.kernel.intern(literals)
+    def materialize(self, literals: ClauseLits) -> FrozenClause:
+        return self.kernel.freeze(literals)
 
-    def chain(self, learned_cid, sources, get_clause) -> array:
+    def chain(self, learned_cid, sources, get_clause) -> FrozenClause:
         return self.kernel.resolve_chain(learned_cid, sources, get_clause)
 
     def resolve(self, clause_a, clause_b, cid_a=None, cid_b=None) -> array:
         return self.kernel.resolve(clause_a, clause_b, cid_a=cid_a, cid_b=cid_b)
 
     def release(self, clause) -> None:
-        self.store.release(clause)
+        """Forget one live kernel clause; anything else is a no-op."""
+        if type(clause) is FrozenClause:
+            self.kernel.live -= 1
 
 
 class ReferenceEngine(_EngineBase):
@@ -313,41 +333,19 @@ class ReferenceEngine(_EngineBase):
 def engine_memory_stats(engine, meter=None) -> dict:
     """Resident-memory high-water marks for a checker's final report.
 
-    Always carries the logical-unit peak (when a meter is given); engines
-    backed by a :class:`~repro.checker.store.ClauseStore` add the store's
-    O(1)-maintained peaks — peak unique interned clauses and peak measured
-    bytes — which is what makes a constant-memory claim observable from
-    the outside. The reference engine (plain frozensets, nothing interned)
-    reports units only.
+    Always carries the logical-unit peak (when a meter is given); the
+    kernel engine adds ``peak_unique_clauses``, the peak count of live
+    kernel clauses, which is what makes a constant-memory claim observable
+    from the outside. The reference engine reports units only.
     """
     stats: dict = {}
     if meter is not None:
         stats["peak_units"] = meter.peak
-    store = getattr(engine, "store", None)
-    if store is not None:
-        stats["peak_unique_clauses"] = store.peak_unique_clauses
-        stats["peak_store_bytes"] = store.peak_bytes
-        stats["resident_store_bytes"] = store.resident_bytes
+    if isinstance(engine, KernelEngine):
+        stats["peak_unique_clauses"] = engine.kernel.peak_live
     return stats
-
-
-# Optional warm-store provider: a callable mapping a formula to a ClauseStore
-# to seed the kernel with, or None. Long-lived checking workers install one so
-# repeat checks of the same formula reuse already-interned clause buffers
-# (interning is content-addressed, so sharing a store across checks of the
-# same formula is verdict-neutral — it only skips re-interning work).
-_WARM_STORE_PROVIDER = None
-
-
-def set_warm_store_provider(provider) -> None:
-    """Install (or clear, with ``None``) the process-wide warm-store hook."""
-    global _WARM_STORE_PROVIDER
-    _WARM_STORE_PROVIDER = provider
 
 
 def make_engine(use_kernel: bool, formula) -> KernelEngine | ReferenceEngine:
     """The engine every checker constructs from its ``use_kernel`` flag."""
-    if not use_kernel:
-        return ReferenceEngine(formula)
-    store = _WARM_STORE_PROVIDER(formula) if _WARM_STORE_PROVIDER is not None else None
-    return KernelEngine(formula, store=store)
+    return KernelEngine(formula) if use_kernel else ReferenceEngine(formula)

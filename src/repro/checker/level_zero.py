@@ -144,8 +144,8 @@ def derive_empty_clause(
     checker uses it for reference-count decrements, DF/hybrid for core
     collection). ``resolve_fn`` performs one resolution step — checkers
     running on the marking kernel pass their engine's
-    :meth:`~repro.checker.kernel.KernelEngine.resolve` so clauses stay
-    interned arrays; the default is the frozenset reference
+    :meth:`~repro.checker.kernel.KernelEngine.resolve`, which returns
+    sorted int arrays; the default is the frozenset reference
     :func:`~repro.checker.resolution.resolve`. Returns the number of
     resolution steps performed. ``deadline`` (a
     :class:`~repro.checker.memory.Deadline`) is polled once per step so a

@@ -6,7 +6,9 @@ OS-level peak RSS is noisy and Python-object overhead would swamp the
 algorithmic signal, so we count *logical units*: one unit per resident
 integer (a literal, or a resolve-source ID), plus a fixed per-object
 overhead. This makes DF-vs-BF comparisons exact, platform-independent, and
-lets a configurable limit reproduce the memory-out behaviour.
+lets a configurable limit reproduce the memory-out behaviour. No Python
+object sizes are taken here: real memory is measured from outside the
+process, as peak RSS.
 
 :class:`Deadline` is the wall-clock analogue: the streaming loops of every
 checker poll it every few hundred records, so a hung or oversized check
@@ -17,24 +19,12 @@ instead of an unbounded run — the supervisor's degradation ladder
 
 from __future__ import annotations
 
-import sys
 import time
 
 from repro.checker.errors import CheckFailure, FailureKind
 
 CLAUSE_OVERHEAD = 2  # per resident clause: id + length field
 RECORD_OVERHEAD = 2  # per resident trace record
-
-
-def real_bytes(obj: object) -> int:
-    """Measured size of a resident object in bytes (``sys.getsizeof``).
-
-    Complements the logical units above: the clause-interning store
-    (:mod:`repro.checker.store`) sums this over its shared ``array('i')``
-    buffers to report what the deduplicated clause database *actually*
-    occupies, while the meters keep the platform-independent accounting.
-    """
-    return sys.getsizeof(obj)
 
 
 class MemoryLimitExceeded(CheckFailure):

@@ -102,7 +102,7 @@ class CheckReport:
     prune: dict | None = None
     # Resident-memory high-water marks
     # (:func:`repro.checker.kernel.engine_memory_stats`): peak logical
-    # units, peak unique interned clauses and peak measured store bytes;
+    # units and, on the kernel engine, the peak count of live clauses;
     # the streaming checker adds its budget/spill counters. Additive and
     # optional — schema version unchanged.
     memory: dict | None = None

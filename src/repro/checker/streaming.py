@@ -24,7 +24,7 @@ resident. This checker is that idea on top of the repo's BF machinery:
   clauses the trace defines: learned clauses. An original clause is the
   caller's :class:`~repro.cnf.CnfFormula` entry, handed to the kernel as
   the deduplicated literal tuple the formula already holds. It is never
-  copied, interned or counted, so there is nothing to evict.
+  copied, frozen or counted, so there is nothing to evict.
 * **Bounded residency, never memory-out.** Resident learned clauses are
   bounded by ``memory_budget`` (logical units, the ``--memory-window``
   budget). Like BF's meter, the budget never counts originals. When the
@@ -38,7 +38,7 @@ resident. This checker is that idea on top of the repo's BF machinery:
 Verdicts are byte-identical to BF/DF, failure context included: the
 same build, consume and level-zero derivation code paths run, and the
 level-zero checks name an offending literal in sorted order whether a
-clause arrives as the formula's tuple or as a sorted interned array.
+clause arrives as the formula's tuple or as a frozen kernel clause.
 Only residency management differs.
 """
 
@@ -385,8 +385,7 @@ class StreamingWindowChecker:
 
     def _spill(self, cid: int, clause: ClauseLits) -> None:
         """Move a still-needed learned clause from the window to disk."""
-        data = clause if isinstance(clause, array) else array("i", sorted(clause))
-        blob = data.tobytes()
+        blob = array("i", sorted(clause)).tobytes()
         handle = self._spill_file()
         handle.seek(0, os.SEEK_END)
         offset = handle.tell()
@@ -423,9 +422,8 @@ class StreamingWindowChecker:
         """Shrink the window back under ``memory_budget``.
 
         Learned clauses spill in retirement order. Runs only between
-        builds, so everything a resolution chain currently references
-        stays alive through plain Python references even if its store
-        entry is evicted.
+        builds, so no resolution chain is in flight when a clause leaves
+        the window.
         """
         budget = self._budget
         if budget is None:
@@ -445,7 +443,7 @@ class StreamingWindowChecker:
         num_original = self._num_original
         assert num_original is not None
         if cid <= num_original:
-            # Read straight from the formula: never copied, interned or
+            # Read straight from the formula: never copied, frozen or
             # counted against the budget. The lower bound keeps 0 and
             # negative IDs from indexing round to the last clause.
             if cid > 0:

@@ -66,10 +66,8 @@ class ResolutionGraph:
 
         graph = cls(num_original=trace.header.num_original_clauses)
         # Nodes: everything the checker built (originals it touched
-        # included). The kernel engine stores clauses as interned int
-        # arrays; the graph's node payload is declared as frozensets, so
-        # coerce at this boundary.
-        for cid, lits in checker._built.items():
+        # included).
+        for cid, lits in checker.built.items():
             graph.literals[cid] = frozenset(lits)
         for cid in list(graph.literals):
             if cid > graph.num_original:

@@ -8,11 +8,9 @@ Three properties worker threads could not offer:
 
 * **real parallelism** — each worker is its own interpreter, so N workers
   use N cores (threads would serialize CPU-bound checks on the GIL);
-* **warm state** — a worker keeps decoded formulas, materialized traces
-  and interned :class:`~repro.checker.store.ClauseStore`\\ s cached across
-  jobs, keyed by content fingerprint. Checking ten proofs against one
-  formula parses the DIMACS once and re-interns nothing (interning is
-  content-addressed, so store reuse is verdict-neutral);
+* **warm state** — a worker keeps decoded formulas and materialized
+  traces cached across jobs, keyed by content fingerprint. Checking ten
+  proofs against one formula parses the DIMACS once;
 * **crash survival** — the parent waits on each worker's process sentinel
   alongside its pipe, so a SIGKILLed worker is detected immediately, its
   in-flight task is retried on a freshly forked replacement (bounded by
@@ -34,8 +32,6 @@ from collections import OrderedDict
 from multiprocessing import connection
 
 from repro import faults
-from repro.checker.kernel import set_warm_store_provider
-from repro.checker.store import ClauseStore
 from repro.checker.supervisor import supervised_check
 from repro.cnf import parse_dimacs_file
 from repro.service.metrics import MetricsRegistry
@@ -45,10 +41,6 @@ from repro.trace.io import load_trace
 #: small; traces can be large, so their bound is tighter.
 DEFAULT_WARM_FORMULAS = 8
 DEFAULT_WARM_TRACES = 4
-
-#: A warm ClauseStore accumulating more interned clauses than this is
-#: dropped and re-seeded — store reuse must never become a slow leak.
-DEFAULT_STORE_ENTRY_BOUND = 500_000
 
 #: How often an idle worker interrupts its pipe wait to check that its
 #: parent is still alive (seconds).
@@ -68,19 +60,6 @@ FP_RESULT_COLLECT = faults.register_fault_point(
         "before it is applied (key = job id)",
 )
 
-# Process-wide registry behind the kernel's warm-store provider. Keyed by
-# formula object identity: warm caches hold the formula objects alive, so
-# an id in here always names a live, known formula. Entries are removed
-# when the owning warm cache evicts the formula.
-_STORE_REGISTRY: dict[int, ClauseStore] = {}
-_REGISTRY_LOCK = threading.Lock()
-
-
-def _registry_provider(formula):
-    with _REGISTRY_LOCK:
-        return _STORE_REGISTRY.get(id(formula))
-
-
 class _WarmCache:
     """Per-worker LRU of decoded artifacts, keyed by content fingerprint."""
 
@@ -88,13 +67,10 @@ class _WarmCache:
         self,
         max_formulas: int = DEFAULT_WARM_FORMULAS,
         max_traces: int = DEFAULT_WARM_TRACES,
-        store_entry_bound: int = DEFAULT_STORE_ENTRY_BOUND,
     ) -> None:
         self.max_formulas = max_formulas
         self.max_traces = max_traces
-        self.store_entry_bound = store_entry_bound
         self._formulas: OrderedDict[str, object] = OrderedDict()
-        self._stores: dict[str, ClauseStore] = {}
         self._traces: OrderedDict[str, object] = OrderedDict()
 
     def formula(self, sha: str | None, path: str, stats: dict) -> object:
@@ -107,11 +83,7 @@ class _WarmCache:
         if sha is not None:
             self._formulas[sha] = parsed
             while len(self._formulas) > self.max_formulas:
-                _, evicted = self._formulas.popitem(last=False)
-                self._drop_store(evicted)
-            for key in list(self._stores):
-                if key not in self._formulas:
-                    del self._stores[key]
+                self._formulas.popitem(last=False)
         return parsed
 
     def trace(self, sha: str | None, path: str, stats: dict) -> object:
@@ -133,34 +105,6 @@ class _WarmCache:
                 self._traces.popitem(last=False)
         return decoded
 
-    def prime_store(self, formula, sha: str | None, options: dict, stats: dict) -> None:
-        """Attach (or reuse) the warm ClauseStore for ``formula``.
-
-        Registered by formula object identity so the kernel's
-        ``make_engine`` hook finds it without API plumbing through every
-        checker. Reference-engine runs (``use_kernel=False``) skip this.
-        """
-        if sha is None or options.get("use_kernel") is False:
-            return
-        store = self._stores.get(sha)
-        if store is not None and len(store) > self.store_entry_bound:
-            self._drop_store(self._formulas.get(sha))
-            store = None
-        if store is None:
-            store = ClauseStore()
-            self._stores[sha] = store
-        else:
-            stats["store_reuses"] = stats.get("store_reuses", 0) + 1
-        with _REGISTRY_LOCK:
-            _STORE_REGISTRY[id(formula)] = store
-
-    @staticmethod
-    def _drop_store(formula) -> None:
-        if formula is None:
-            return
-        with _REGISTRY_LOCK:
-            _STORE_REGISTRY.pop(id(formula), None)
-
 
 def _execute_task(task: dict, warm: _WarmCache) -> dict:
     """Run one check task; never raises — errors become a failure result."""
@@ -177,7 +121,6 @@ def _execute_task(task: dict, warm: _WarmCache) -> dict:
             trace = task["trace"]
         else:
             trace = warm.trace(shas.get("trace_sha256"), task["trace"], stats)
-        warm.prime_store(formula, shas.get("formula_sha256"), task["options"], stats)
         report = supervised_check(
             formula, trace, fingerprint=fingerprint, **task["options"]
         )
@@ -205,7 +148,6 @@ def _worker_main(name: str, conn, warm_config: tuple, parent: int) -> None:
     daemon died before it ran still sees itself orphaned.
     """
     warm = _WarmCache(*warm_config)
-    set_warm_store_provider(_registry_provider)
     while True:
         try:
             # recv() alone cannot detect a SIGKILLed parent: fork-context
@@ -268,7 +210,6 @@ class WorkerPool:
         task_timeout: float | None = None,
         warm_formulas: int = DEFAULT_WARM_FORMULAS,
         warm_traces: int = DEFAULT_WARM_TRACES,
-        store_entry_bound: int = DEFAULT_STORE_ENTRY_BOUND,
     ) -> None:
         if num_workers < 1:
             raise ValueError("need at least one worker")
@@ -281,7 +222,7 @@ class WorkerPool:
         #: so a livelocked check degrades into an ordinary worker crash
         #: instead of silently parking one pool slot forever.
         self.task_timeout = task_timeout
-        self._warm_config = (warm_formulas, warm_traces, store_entry_bound)
+        self._warm_config = (warm_formulas, warm_traces)
         try:
             self._ctx = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX fallback

@@ -1,4 +1,4 @@
-"""The resolution kernel against the frozenset oracle, plus the clause store.
+"""The resolution kernel against the frozenset oracle, plus its clause type.
 
 The kernel (:mod:`repro.checker.kernel`) must be *observationally identical*
 to the paper's frozenset fold: same resolvents, same ``BAD_RESOLUTION``
@@ -9,20 +9,19 @@ interesting corners.
 """
 
 import pickle
-from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.checker.kernel import (
+    FrozenClause,
     KernelEngine,
     ReferenceEngine,
     ResolutionKernel,
     make_engine,
 )
 from repro.checker.resolution import ResolutionError, resolve, resolve_chain
-from repro.checker.store import ClauseStore, InternedClause
 from repro.cnf import CnfFormula
 
 literals = st.integers(min_value=-6, max_value=6).filter(lambda lit: lit != 0)
@@ -40,17 +39,17 @@ def _oracle_outcome(chain, learned_cid=99):
 
 def _kernel_outcome(chain, learned_cid=99, raw_sources=False, plain=None):
     """``plain``, when given, marks per position which sources are plain
-    tuples (duplicates kept) rather than interned clauses."""
+    tuples (duplicates kept) rather than kernel clauses."""
     kernel = ResolutionKernel(num_vars=8)
     if raw_sources:
         table = {cid: list(lits) for cid, lits in enumerate(chain, start=1)}
     elif plain is not None:
         table = {
-            cid: tuple(lits) if is_plain else kernel.intern(lits)
+            cid: tuple(lits) if is_plain else kernel.freeze(lits)
             for cid, (lits, is_plain) in enumerate(zip(chain, plain), start=1)
         }
     else:
-        table = {cid: kernel.intern(lits) for cid, lits in enumerate(chain, start=1)}
+        table = {cid: kernel.freeze(lits) for cid, lits in enumerate(chain, start=1)}
     sources = tuple(range(1, len(chain) + 1))
     try:
         result = kernel.resolve_chain(learned_cid, sources, table.__getitem__)
@@ -67,8 +66,8 @@ def _assert_equivalent(chain, raw_sources=False, plain=None):
     assert kernel_kind == oracle_kind, (chain, oracle_value, kernel_value)
     if oracle_kind == "ok":
         assert frozenset(kernel_value) == oracle_value
-        out = list(kernel_value)
-        assert out == sorted(out) and len(out) == len(set(out))
+        assert type(kernel_value) is FrozenClause
+        assert kernel_value.negset == {-lit for lit in kernel_value}
     else:
         for key in ("learned_cid", "chain_position", "cid_b"):
             assert kernel_value.get(key) == oracle_value.get(key), (chain, key)
@@ -84,7 +83,7 @@ def test_chain_equivalence_on_random_chains(chain):
 @given(chains)
 @settings(max_examples=150)
 def test_chain_equivalence_with_uninterned_sources(chain):
-    # get_clause may hand the kernel plain lists (no cached mark sets);
+    # get_clause may hand the kernel plain lists (no negation sets);
     # the fallback path must keep the exact oracle semantics.
     _assert_equivalent(chain, raw_sources=True)
 
@@ -96,7 +95,7 @@ mixed_chains = st.lists(st.tuples(clauses, st.booleans()), min_size=1, max_size=
 @settings(max_examples=300)
 def test_chain_equivalence_on_mixed_interned_and_plain_sources(mixed):
     # The streaming checker hands the kernel original clauses as the
-    # formula's plain tuples, next to interned learned clauses; each
+    # formula's plain tuples, next to frozen learned clauses; each
     # position here is independently one or the other.
     chain = [lits for lits, _ in mixed]
     _assert_equivalent(chain, plain=[is_plain for _, is_plain in mixed])
@@ -154,7 +153,7 @@ def test_empty_chain_raises():
 
 def test_kernel_grows_past_initial_capacity():
     kernel = ResolutionKernel(num_vars=1)
-    table = {1: kernel.intern([100, 2]), 2: kernel.intern([-100, 3])}
+    table = {1: kernel.freeze([100, 2]), 2: kernel.freeze([-100, 3])}
     result = kernel.resolve_chain(9, (1, 2), table.__getitem__)
     assert list(result) == [2, 3]
 
@@ -182,69 +181,26 @@ def test_single_step_resolve_matches_oracle(pair):
         assert exc.context.get("cid_a") == 1 and exc.context.get("cid_b") == 2
 
 
-# -- the interning store -----------------------------------------------------
-
-
-def test_store_interns_duplicates_to_one_buffer():
-    store = ClauseStore()
-    a = store.intern([3, 1, -2])
-    b = store.intern([-2, 1, 3, 1])
-    assert a is b
-    assert list(a) == [-2, 1, 3]
-    assert store.hits == 1 and store.misses == 1
-    assert len(store) == 1
-    assert store.resident_references == 2
-
-
-def test_store_release_evicts_at_zero_references():
-    store = ClauseStore()
-    clause = store.intern([1, 2])
-    store.intern([1, 2])
-    store.release(clause)
-    assert len(store) == 1  # one reference still held
-    store.release(clause)
-    assert len(store) == 0
-    assert clause not in store
-
-
-def test_store_release_is_noop_for_foreign_clauses():
-    store = ClauseStore()
-    store.release(frozenset({1, 2}))  # reference-engine clause: ignored
-    store.release(array("i", [1, 2]))  # never interned: ignored
-    assert len(store) == 0
-
-
-def test_store_reports_real_memory_and_stats():
-    store = ClauseStore()
-    store.intern([1, 2, 3])
-    stats = store.stats()
-    assert stats["unique_clauses"] == 1
-    assert stats["resident_references"] == 1
-    assert stats["misses"] == 1
-    assert stats["memory_bytes"] > 0
-    store.intern([4])
-    assert store.memory_bytes() > stats["memory_bytes"]
+# -- the clause type -----------------------------------------------------------
 
 
 def test_interned_clause_carries_cached_mark_sets():
-    store = ClauseStore()
-    clause = store.intern([2, -5, 7])
-    assert isinstance(clause, InternedClause)
-    assert clause.litset == frozenset({2, -5, 7})
+    clause = ResolutionKernel(num_vars=8).freeze([2, -5, 7, 2])
+    assert isinstance(clause, FrozenClause)
+    assert clause == frozenset({2, -5, 7})
     assert clause.negset == frozenset({-2, 5, -7})
 
 
 def test_interned_clause_survives_pickling_without_mark_sets():
-    # Mark sets do not cross a pickle; the kernel must still resolve with
-    # such a clause, through its plain-clause branch.
-    store = ClauseStore()
-    clause = pickle.loads(pickle.dumps(store.intern([1, 2])))
-    assert isinstance(clause, InternedClause)
-    assert list(clause) == [1, 2]
-    assert clause.litset is None and clause.negset is None
+    # The negation set crosses a pickle with the clause, so the kernel
+    # resolves an unpickled clause on its set path.
     kernel = ResolutionKernel(num_vars=4)
-    table = {1: clause, 2: kernel.intern([-1, 3])}
-    assert list(kernel.resolve_chain(5, (1, 2), table.__getitem__)) == [2, 3]
+    clause = pickle.loads(pickle.dumps(kernel.freeze([1, 2])))
+    assert isinstance(clause, FrozenClause)
+    assert clause == frozenset({1, 2})
+    assert clause.negset == frozenset({-1, -2})
+    table = {1: clause, 2: kernel.freeze([-1, 3])}
+    assert kernel.resolve_chain(5, (1, 2), table.__getitem__) == frozenset({2, 3})
 
 
 # -- engines -----------------------------------------------------------------

@@ -344,12 +344,17 @@ def test_budget_below_the_formula_materializes_only_reloads(tmp_path, monkeypatc
 def test_nonpositive_source_is_an_unknown_clause(tmp_path, bad_source):
     """IDs 0 and below name no original clause: they must not index round
     to the formula's last clauses."""
+    from repro.checker import DepthFirstChecker, HybridChecker
+    from repro.trace.io import load_trace
+
     formula = pigeonhole(6, 5)
     trace = solved_trace(formula)
     path = str(tmp_path / "bad.trace")
     dump_ascii(trace, path, first_source=bad_source)
     reports = [
         BreadthFirstChecker(formula, path).check(),
+        DepthFirstChecker(formula, load_trace(path)).check(),
+        HybridChecker(formula, path).check(),
         StreamingWindowChecker(formula, path).check(),
         StreamingWindowChecker(formula, path, memory_budget=50).check(),
     ]
@@ -398,7 +403,34 @@ def test_other_checkers_report_memory_high_water_too():
         assert report.verified
         assert report.memory is not None
         assert report.memory["peak_unique_clauses"] > 0
-        assert report.memory["peak_store_bytes"] > 0
+
+
+def test_live_clause_count_matches_the_clauses_still_held():
+    """Every kernel clause a checker frees is released exactly once: after
+    a verified check, the engine's live count is the number of kernel
+    clauses the checker and its engine still hold."""
+    from repro.checker import HybridChecker
+    from repro.checker.kernel import FrozenClause
+
+    formula = pigeonhole(6, 5)
+    trace = solved_trace(formula)
+    checkers = [
+        BreadthFirstChecker(formula, trace),
+        HybridChecker(formula, trace),
+        StreamingWindowChecker(formula, trace),
+        StreamingWindowChecker(formula, trace, memory_budget=50),
+    ]
+    reports = [checker.check() for checker in checkers]
+    for checker, report in zip(checkers, reports):
+        assert report.verified
+        engine = checker._engine
+        held = list(checker._resident.values()) + list(engine._originals.values())
+        held_ids = {id(clause) for clause in held if type(clause) is FrozenClause}
+        # Releasing a clause the kernel did not freeze is a no-op.
+        engine.release((1, 2))
+        engine.release(frozenset({1, 2}))
+        assert engine.kernel.live == len(held_ids), checker.method
+    assert reports[0].memory["peak_unique_clauses"] == 111
 
 
 # -- the degradation ladder ---------------------------------------------------

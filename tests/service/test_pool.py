@@ -138,7 +138,7 @@ def test_worker_exits_when_its_daemon_died_before_it_started():
     not_my_parent = os.getpid() + 1_000_000
     worker = ctx.Process(
         target=_worker_main,
-        args=("pool-worker-test", child_conn, (4, 4, 4), not_my_parent),
+        args=("pool-worker-test", child_conn, (4, 4), not_my_parent),
         daemon=True,
     )
     worker.start()
@@ -166,7 +166,6 @@ def test_warm_formula_cache_reused_across_jobs(artifacts, tmp_path):
     assert counters.counter("pool.formula_misses").value == 1
     assert counters.counter("pool.formula_hits").value == 3
     assert counters.counter("pool.trace_hits").value == 3
-    assert counters.counter("pool.store_reuses").value == 3
     scheduler.store.close()
 
 
