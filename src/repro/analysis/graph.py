@@ -9,13 +9,16 @@ learned clauses a checker must actually build. Everything else is dead
 weight, and "Efficient Certified Resolution Proof Checking" shows skipping
 it is often the single biggest win available.
 
-Two consumers sit on top:
+Three consumers sit on top:
 
 * :class:`PrunePlan` — a precomputed skip set (plus breadth-first-exact use
-  counts) that every checking strategy accepts via ``prune_plan=`` to avoid
+  counts) that the resolution checkers accept via ``prune_plan=`` to avoid
   building unreachable learned clauses.
+* The hybrid checker (:mod:`repro.checker.hybrid`), which streams the graph
+  itself and then checks breadth-first over the plan's cone.
 * The global lint rules T013–T017 and the ``repro analyze`` CLI, which read
-  a :class:`DerivationGraph` assembled by the analysis engine.
+  a :class:`DerivationGraph` assembled by the analysis engine; T006 walks
+  the same cone with :func:`backward_closure` from :func:`cone_roots`.
 
 A plan is only produced for traces whose ID graph is structurally clean
 (no dangling/forward/duplicate references, monotonic IDs, single header,
@@ -30,7 +33,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Protocol, Sequence
 
 from repro.trace.records import (
     ClauseDeletion,
@@ -52,6 +55,12 @@ TraceSource = Trace | str | Path | Iterable[TraceRecord]
 #: Cap on recorded structural violations; one is enough to veto pruning,
 #: a handful is enough for diagnostics.
 _MAX_VIOLATIONS = 20
+
+
+class DeadlinePoll(Protocol):
+    """A wall-clock budget the graph pass polls (the checkers' ``Deadline``)."""
+
+    def check(self) -> None: ...
 
 
 @dataclass(frozen=True)
@@ -101,9 +110,6 @@ class PrunePlan:
     breadth-first-exact use counts restricted to the cone (references made
     by kept clauses, level-0 antecedents, and final-conflict records), so
     the BF checker can skip its counting pre-pass entirely.
-    ``skip_ordinals`` are the 0-based positions of skipped clauses among
-    the trace's learned records, for proof formats (DRUP) that identify
-    lemmas by position rather than by ID.
     """
 
     num_vars: int
@@ -113,7 +119,6 @@ class PrunePlan:
     keep: frozenset[int]
     skip: frozenset[int]
     needed_counts: Mapping[int, int]
-    skip_ordinals: frozenset[int]
 
     @property
     def dead_fraction(self) -> float:
@@ -188,7 +193,10 @@ class DerivationGraph:
 
     @classmethod
     def stream(
-        cls, source: TraceSource, track_indices: bool = True
+        cls,
+        source: TraceSource,
+        track_indices: bool = True,
+        deadline: DeadlinePoll | None = None,
     ) -> "DerivationGraph":
         """Build the graph in one streaming pass over any trace source.
 
@@ -196,6 +204,8 @@ class DerivationGraph:
         (``learned_index``/``last_use_index``) that only the graph-tier
         lint rules read — the prune-plan path uses it to keep the
         analyzer pass a small fraction of the check it shrinks.
+        ``deadline`` is polled every 256 records, so a checker running the
+        pass stays inside its wall-clock budget.
         """
         records = _open_records_raw(source)
         num_vars = 0
@@ -217,6 +227,8 @@ class DerivationGraph:
                 violations.append(message)
 
         while True:
+            if deadline is not None and not index & 0xFF:
+                deadline.check()
             try:
                 record = next(records)
             except StopIteration:
@@ -372,31 +384,15 @@ class DerivationGraph:
         return len(self.sources_by_cid)
 
     def roots(self) -> list[int]:
-        """The cone's roots: first final conflict + every level-0 antecedent.
-
-        This matches what every checker replays: the empty-clause
-        derivation starts from the first final conflict and resolves
-        against the level-0 antecedents.
-        """
-        roots = [cid for _index, cid in self.final_conflicts[:1]]
-        roots.extend(antecedent for _index, antecedent in self.level_zero_refs)
-        return roots
+        """The cone's roots (see :func:`cone_roots`)."""
+        return cone_roots(
+            [cid for _index, cid in self.final_conflicts],
+            [antecedent for _index, antecedent in self.level_zero_refs],
+        )
 
     def closure(self, roots: Iterable[int]) -> set[int]:
         """Learned clause IDs backward-reachable from ``roots``."""
-        num_original = self.num_original
-        sources_by_cid = self.sources_by_cid
-        stack = [cid for cid in roots if cid > num_original]
-        visited: set[int] = set()
-        while stack:
-            cid = stack.pop()
-            if cid in visited:
-                continue
-            visited.add(cid)
-            for source in sources_by_cid.get(cid, ()):
-                if source > num_original and source not in visited:
-                    stack.append(source)
-        return visited
+        return backward_closure(roots, self.num_original, self.sources_by_cid)
 
     def cone(self) -> frozenset[int]:
         """The proof cone: learned IDs reachable from :meth:`roots` (cached)."""
@@ -543,11 +539,6 @@ class DerivationGraph:
         for _index, cid in self.final_conflicts:
             if cid > num_original and cid in keep:
                 needed_counts[cid] = needed_counts.get(cid, 0) + 1
-        skip_ordinals = frozenset(
-            ordinal
-            for ordinal, cid in enumerate(self.sources_by_cid)
-            if cid in skip
-        )
         max_cid = max(self.sources_by_cid, default=0)
         return PrunePlan(
             num_vars=self.num_vars,
@@ -557,7 +548,6 @@ class DerivationGraph:
             keep=keep,
             skip=skip,
             needed_counts=needed_counts,
-            skip_ordinals=skip_ordinals,
         )
 
 
@@ -570,14 +560,45 @@ def compute_prune_plan(source: TraceSource) -> PrunePlan | None:
     """The one-call front door: analyze ``source``, return a plan or ``None``.
 
     ``None`` means "check this unpruned": the trace is structurally
-    suspect, claims something other than UNSAT, or cannot be parsed.
-    Never raises.
+    suspect, claims something other than UNSAT, or cannot be read or
+    parsed. Never raises.
     """
     try:
         graph = DerivationGraph.stream(source, track_indices=False)
-    except TraceError:
+    except (TraceError, OSError):
         return None
     return graph.prune_plan()
+
+
+def cone_roots(final_conflicts: Sequence[int], antecedents: Iterable[int]) -> list[int]:
+    """The proof cone's roots: the first final conflict + every level-0 antecedent.
+
+    This matches what every checker replays: the empty-clause derivation
+    starts from the first final conflict and resolves against the level-0
+    antecedents. Later final conflicts seed nothing.
+    """
+    roots = list(final_conflicts[:1])
+    roots.extend(antecedents)
+    return roots
+
+
+def backward_closure(
+    roots: Iterable[int],
+    num_original: int,
+    sources_by_cid: Mapping[int, Sequence[int]],
+) -> set[int]:
+    """Learned clause IDs backward-reachable from ``roots`` in the ID graph."""
+    stack = [cid for cid in roots if cid > num_original]
+    visited: set[int] = set()
+    while stack:
+        cid = stack.pop()
+        if cid in visited:
+            continue
+        visited.add(cid)
+        for source in sources_by_cid.get(cid, ()):
+            if source > num_original and source not in visited:
+                stack.append(source)
+    return visited
 
 
 def _is_defined(

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, ClassVar
 
 from repro.analysis.diagnostics import Diagnostic, Severity
+from repro.analysis.graph import backward_closure, cone_roots
 from repro.trace.records import (
     ClauseDeletion,
     FinalConflict,
@@ -347,20 +348,12 @@ class UnreachableClauseRule(Rule):
             or state.num_original is None
         ):
             return
-        num_original = state.num_original
-        roots = [cid for _, cid in state.final_conflicts]
-        roots += [entry.antecedent for _, entry in state.level_zero]
-        stack = [cid for cid in roots if cid > num_original]
-        visited: set[int] = set()
-        while stack:
-            cid = stack.pop()
-            if cid in visited:
-                continue
-            visited.add(cid)
-            for source in state.sources_by_cid.get(cid, ()):
-                if source > num_original and source not in visited:
-                    stack.append(source)
-        reachable = len(visited & state.defined)
+        roots = cone_roots(
+            [cid for _, cid in state.final_conflicts],
+            [entry.antecedent for _, entry in state.level_zero],
+        )
+        cone = backward_closure(roots, state.num_original, state.sources_by_cid)
+        reachable = len(cone & state.defined)
         state.reachable_learned = reachable
         unreachable = state.num_learned - reachable
         if unreachable > 0 and state.num_learned > 0:

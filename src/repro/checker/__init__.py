@@ -11,9 +11,9 @@ structured diagnostic.
 * :class:`BreadthFirstChecker` — streams the trace in generation order with
   a counting pre-pass and reference-counted deletion; peak memory never
   exceeds what the solver itself held.
-* :class:`HybridChecker` — the paper's future-work design: DF-style marking
-  over the clause-ID graph plus BF-style streaming of only the needed
-  clauses.
+* :class:`HybridChecker` — the paper's future-work design: the breadth-first
+  checker run over the proof cone that the static analyzer
+  (:mod:`repro.analysis.graph`) finds in the clause-ID graph.
 * :class:`StreamingWindowChecker` — the constant-memory tier: decodes an
   mmap'd trace in batches behind a shifting window whose resident clauses
   are bounded by a budget; overflow spills to disk, so it never

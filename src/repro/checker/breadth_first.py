@@ -254,7 +254,10 @@ class BreadthFirstChecker:
     def _records(self) -> Iterator[TraceRecord]:
         if isinstance(self._source, Trace):
             return self._source.records()
-        return iter_trace_records(self._source)
+        try:
+            return iter_trace_records(self._source)
+        except OSError as exc:
+            raise TraceError(f"{self._source}: {exc}") from None
 
     # -- passes 0+1: extent and counting ----------------------------------------
 
@@ -272,8 +275,11 @@ class BreadthFirstChecker:
         extent and the exact use counts restricted to the proof cone.
         """
         if self._chunk_size is None and isinstance(self._source, (str, Path)):
-            with open(self._source, "rb") as handle:
-                self._binary_fast = handle.read(len(MAGIC)) == MAGIC
+            try:
+                with open(self._source, "rb") as handle:
+                    self._binary_fast = handle.read(len(MAGIC)) == MAGIC
+            except OSError as exc:
+                raise TraceError(f"{self._source}: {exc}") from None
         if self._plan is not None:
             return self._plan_counts()
         if self._binary_fast:

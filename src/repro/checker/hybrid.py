@@ -4,52 +4,48 @@
 depth-first and breadth-first approaches without suffering from their
 respective shortcomings."
 
-Strategy:
+The hybrid is the breadth-first checker run over the static analyzer's
+proof cone:
 
-1. **Marking pass** (depth-first over the *clause-ID graph* only): stream
-   the trace keeping just the resolve-source ID lists — integers, no
-   literals — then walk backwards from the final conflicting clause and the
-   level-0 antecedents to find the set of *needed* learned clauses, with
-   per-clause use counts restricted to needed consumers.
-2. **Streaming pass** (breadth-first): stream the trace again, building
-   only the needed clauses, deleting each as soon as its last needed use
-   completes.
+1. **Graph pass**: :meth:`DerivationGraph.stream
+   <repro.analysis.graph.DerivationGraph.stream>` reads the trace keeping
+   only the clause-ID graph — integers, no literals — and
+   :meth:`~repro.analysis.graph.DerivationGraph.prune_plan` turns it into
+   the cone of learned clauses reachable from the final conflict and the
+   level-0 antecedents, with use counts restricted to it. This is the same
+   code ``--prune`` runs.
+2. **Checking pass**: the BF pass builds only the cone, deleting each
+   clause as soon as its last needed use completes.
 
 Compared to DF it never holds unneeded literals; compared to BF it builds
 only the DF subset (Table 2's "Built %"). It still holds the ID graph in
-memory — a disk-based DFS (the paper cites external-memory graph traversal)
-would remove that too; we account its memory honestly so the trade-off is
-visible in the benchmarks.
+memory during the graph pass — a disk-based DFS (the paper cites
+external-memory graph traversal) would remove that too — so the graph is
+charged to the memory meter, keeping the trade-off visible in the
+benchmarks. A trace whose ID graph the analyzer rejects yields no plan and
+is checked exactly as BF checks it. A caller-supplied plan skips the graph
+pass.
 """
 
 from __future__ import annotations
 
-import time
 from pathlib import Path
-from typing import Iterator
+from typing import TYPE_CHECKING
 
+from repro.checker.breadth_first import BreadthFirstChecker
 from repro.checker.errors import CheckFailure, FailureKind
-from repro.checker.kernel import ClauseLits, engine_memory_stats, make_engine
-from repro.checker.level_zero import LevelZeroState, derive_empty_clause
-from repro.checker.memory import Deadline, MemoryMeter
+from repro.checker.kernel import ClauseLits
+from repro.checker.memory import Deadline
 from repro.checker.report import CheckReport
-from repro.checker.resolution import ResolutionError
 from repro.cnf import CnfFormula
-from repro.trace.io import iter_trace_records
-from repro.trace.records import (
-    FinalConflict,
-    LearnedClause,
-    LevelZeroAssignment,
-    Trace,
-    TraceError,
-    TraceHeader,
-    TraceRecord,
-    TraceResult,
-)
+from repro.trace.records import Trace, TraceError
+
+if TYPE_CHECKING:
+    from repro.analysis.graph import PrunePlan
 
 
-class HybridChecker:
-    """Marks the needed sub-DAG by ID, then streams and builds only that."""
+class HybridChecker(BreadthFirstChecker):
+    """Streams the clause-ID graph, then checks breadth-first over its cone."""
 
     method = "hybrid"
 
@@ -63,301 +59,83 @@ class HybridChecker:
         deadline: Deadline | None = None,
         prune_plan=None,
     ):
-        self.formula = formula
-        self._source = trace_source
-        # With a precomputed prune plan the marking pass degenerates to a
-        # lean stream (no ID-graph retention): the plan already carries the
-        # needed set and its use counts.
-        self._plan = prune_plan
-        self._precheck = precheck
-        self.precheck_report = None
-        self.meter = MemoryMeter(limit=memory_limit)
-        self._deadline = deadline
-        self._engine = make_engine(use_kernel, formula)
-        self._num_original: int | None = None
-        self._resident: dict[int, ClauseLits] = {}
-        self._remaining: dict[int, int] = {}
-        self._clauses_built = 0
-        self._total_learned = 0
-        self._resolutions = 0
-        self._original_core: set[int] = set()
-        self._learned_used: set[int] = set()
+        super().__init__(
+            formula,
+            trace_source,
+            memory_limit=memory_limit,
+            precheck=precheck,
+            use_kernel=use_kernel,
+            deadline=deadline,
+            prune_plan=prune_plan,
+        )
+        self._caller_pruned = prune_plan is not None
+        # Every clause ID fetched: the sources of the built clauses plus
+        # the final conflict and the antecedents the derivation resolves on.
+        self._used: set[int] = set()
 
     def check(self) -> CheckReport:
-        """Run the check; never raises — failures land in the report."""
-        start = time.perf_counter()
-        failure: CheckFailure | None = None
-        verified = False
-        try:
-            if self._precheck:
-                from repro.checker.precheck import run_precheck
+        report = super().check()
+        if not self._caller_pruned:
+            report.prune = None  # the cone is how hybrid works, not a caller's pruning
+        if report.verified:
+            num_original = self._num_original
+            assert num_original is not None
+            report.original_core = {cid for cid in self._used if cid <= num_original}
+            report.learned_used = self._used - report.original_core
+        return report
 
-                self.precheck_report = run_precheck(self._source)
-            if self._plan is not None:
-                needed_counts, level_zero_entries, final_cid, status = self._plan_pass()
-            else:
-                needed_counts, level_zero_entries, final_cid, status = self._marking_pass()
-            if status != "UNSAT":
-                raise CheckFailure(
-                    FailureKind.BAD_STATUS,
-                    "trace does not claim UNSAT; nothing to check",
-                    status=status,
-                )
-            verified = self._streaming_pass(needed_counts, level_zero_entries, final_cid)
-        except CheckFailure as exc:
-            failure = exc
-        except TraceError as exc:
-            # Malformed record streams surface mid-pass; the contract is
-            # "never raises", so convert to a reported failure.
-            failure = CheckFailure(FailureKind.MALFORMED_TRACE, str(exc))
-        return CheckReport(
-            method=self.method,
-            verified=verified,
-            failure=failure,
-            clauses_built=self._clauses_built,
-            total_learned=self._total_learned,
-            peak_memory_units=self.meter.peak,
-            check_time=time.perf_counter() - start,
-            resolutions=self._resolutions,
-            original_core=self._original_core if verified else None,
-            learned_used=self._learned_used if verified else None,
-            prune=self._plan.to_dict() if self._plan is not None else None,
-            memory=engine_memory_stats(self._engine, self.meter),
-        )
+    def _extent_and_counts(self) -> tuple[int, str]:
+        if self._plan is None:
+            self._plan = self._graph_pass()
+        return super()._extent_and_counts()
 
-    # -- shared helpers -------------------------------------------------------
+    def _graph_pass(self) -> PrunePlan | None:
+        """Stream the ID graph and return its plan; ``None`` when vetoed.
 
-    def _records(self) -> Iterator[TraceRecord]:
-        if isinstance(self._source, Trace):
-            return self._source.records()
-        return iter_trace_records(self._source)
-
-    # -- pass 1: mark the needed sub-DAG ----------------------------------------
-
-    def _marking_pass(self):
-        sources_by_cid: dict[int, tuple[int, ...]] = {}
-        level_zero_entries: list[LevelZeroAssignment] = []
-        final_conflicts: list[int] = []
-        status = "UNKNOWN"
-        graph_units = 0
-        deadline = self._deadline
-        if deadline is not None:
-            deadline.check()
-        ticks = 0
-        for record in self._records():
-            if deadline is not None:
-                ticks += 1
-                if not ticks & 0xFF:
-                    deadline.check()
-            if isinstance(record, TraceHeader):
-                self._num_original = record.num_original_clauses
-                if self.formula.num_clauses != record.num_original_clauses:
-                    raise CheckFailure(
-                        FailureKind.UNKNOWN_CLAUSE,
-                        "formula / trace disagree on the number of original clauses",
-                        formula_clauses=self.formula.num_clauses,
-                        trace_clauses=record.num_original_clauses,
-                    )
-            elif isinstance(record, LearnedClause):
-                if record.cid in sources_by_cid:
-                    raise CheckFailure(
-                        FailureKind.CYCLIC_TRACE,
-                        "duplicate learned clause ID",
-                        cid=record.cid,
-                    )
-                sources_by_cid[record.cid] = record.sources
-                graph_units += self.meter.record_units(1 + len(record.sources))
-            elif isinstance(record, LevelZeroAssignment):
-                level_zero_entries.append(record)
-            elif isinstance(record, FinalConflict):
-                final_conflicts.append(record.cid)
-            elif isinstance(record, TraceResult):
-                status = record.status
-        if self._num_original is None:
-            raise CheckFailure(FailureKind.BAD_HEADER, "trace has no header")
-        if not final_conflicts and status == "UNSAT":
-            raise CheckFailure(
-                FailureKind.BAD_FINAL_CONFLICT,
-                "trace has no final conflicting clause",
-            )
-        self._total_learned = len(sources_by_cid)
-        # The ID graph is held in memory during marking: account for it.
-        self.meter.allocate(graph_units)
-
-        needed_counts: dict[int, int] = {}
-        if status == "UNSAT":
-            roots = [final_conflicts[0]] + [e.antecedent for e in level_zero_entries]
-            stack = [cid for cid in roots if cid > self._num_original]
-            visited: set[int] = set()
-            while stack:
-                cid = stack.pop()
-                if cid in visited:
-                    continue
-                visited.add(cid)
-                sources = sources_by_cid.get(cid)
-                if sources is None:
-                    raise CheckFailure(
-                        FailureKind.UNKNOWN_CLAUSE,
-                        "trace references a clause ID that was never defined",
-                        cid=cid,
-                    )
-                for source in sources:
-                    if source >= cid:
-                        raise CheckFailure(
-                            FailureKind.CYCLIC_TRACE,
-                            "learned clause resolves from a clause with an ID "
-                            "not smaller than its own",
-                            cid=cid,
-                            source=source,
-                        )
-                    if source > self._num_original:
-                        needed_counts[source] = needed_counts.get(source, 0) + 1
-                        if source not in visited:
-                            stack.append(source)
-            # Roots get one extra use each (final derivation / antecedent use).
-            for root in roots:
-                if root > self._num_original:
-                    needed_counts[root] = needed_counts.get(root, 0) + 1
-        self.meter.release(graph_units)
-
-        final_cid = final_conflicts[0] if final_conflicts else -1
-        return needed_counts, level_zero_entries, final_cid, status
-
-    # -- pass 1 (pruned): lean stream, counts come from the plan ------------------
-
-    def _plan_pass(self):
-        """Marking-pass replacement under a prune plan.
-
-        The plan already identified the needed sub-DAG and its use counts,
-        so this pass never retains the ID graph — it only validates the
-        header and collects the trail/conflict/status records the second
-        pass needs.
+        On a clean graph, a clause-count mismatch or an UNSAT claim without
+        a final conflict fails here with nothing charged; the graph is then
+        charged to the memory meter, and a claim other than UNSAT fails
+        after that. Nothing is built in any of these cases.
         """
-        plan = self._plan
-        assert plan is not None
-        if self.formula.num_clauses != plan.num_original:
+        from repro.analysis.graph import DerivationGraph
+
+        try:
+            graph = DerivationGraph.stream(
+                self._source, track_indices=False, deadline=self._deadline
+            )
+        except OSError as exc:
+            raise TraceError(f"{self._source}: {exc}") from None
+        if graph.violations:
+            return None
+        if self.formula.num_clauses != graph.num_original:
             raise CheckFailure(
                 FailureKind.UNKNOWN_CLAUSE,
                 "formula / trace disagree on the number of original clauses",
                 formula_clauses=self.formula.num_clauses,
-                trace_clauses=plan.num_original,
+                trace_clauses=graph.num_original,
             )
-        level_zero_entries: list[LevelZeroAssignment] = []
-        final_conflicts: list[int] = []
-        status = "UNKNOWN"
-        saw_header = False
-        deadline = self._deadline
-        if deadline is not None:
-            deadline.check()
-        ticks = 0
-        for record in self._records():
-            if deadline is not None:
-                ticks += 1
-                if not ticks & 0xFF:
-                    deadline.check()
-            if isinstance(record, TraceHeader):
-                saw_header = True
-                self._num_original = record.num_original_clauses
-                if self.formula.num_clauses != record.num_original_clauses:
-                    raise CheckFailure(
-                        FailureKind.UNKNOWN_CLAUSE,
-                        "formula / trace disagree on the number of original clauses",
-                        formula_clauses=self.formula.num_clauses,
-                        trace_clauses=record.num_original_clauses,
-                    )
-            elif isinstance(record, LevelZeroAssignment):
-                level_zero_entries.append(record)
-            elif isinstance(record, FinalConflict):
-                final_conflicts.append(record.cid)
-            elif isinstance(record, TraceResult):
-                status = record.status
-        if not saw_header:
-            raise CheckFailure(FailureKind.BAD_HEADER, "trace has no header")
-        if not final_conflicts and status == "UNSAT":
+        if graph.status == "UNSAT" and not graph.final_conflicts:
             raise CheckFailure(
                 FailureKind.BAD_FINAL_CONFLICT,
                 "trace has no final conflicting clause",
             )
-        self._total_learned = plan.total_learned
-        final_cid = final_conflicts[0] if final_conflicts else -1
-        return dict(plan.needed_counts), level_zero_entries, final_cid, status
-
-    # -- pass 2: stream and build only the needed clauses -------------------------
+        self._total_learned = graph.num_learned
+        graph_units = sum(
+            self.meter.record_units(1 + len(sources))
+            for sources in graph.sources_by_cid.values()
+        )
+        self.meter.allocate(graph_units)
+        self.meter.release(graph_units)
+        if graph.status != "UNSAT":
+            raise CheckFailure(
+                FailureKind.BAD_STATUS,
+                "trace does not claim UNSAT; nothing to check",
+                status=graph.status or "UNKNOWN",
+            )
+        return graph.prune_plan()
 
     def _get_clause(self, cid: int) -> ClauseLits:
-        assert self._num_original is not None
-        if cid <= self._num_original:
-            return self._engine.original(cid)
-        clause = self._resident.get(cid)
-        if clause is None:
-            raise CheckFailure(
-                FailureKind.UNKNOWN_CLAUSE,
-                "clause is not resident: never defined, defined later, or "
-                "already fully consumed",
-                cid=cid,
-            )
-        return clause
-
-    def _note_use(self, cid: int) -> None:
-        assert self._num_original is not None
-        if cid <= self._num_original:
-            self._original_core.add(cid)
-            return
-        self._learned_used.add(cid)
-        remaining = self._remaining.get(cid)
-        if remaining is None:
-            return
-        if remaining <= 1:
-            clause = self._resident.pop(cid)
-            del self._remaining[cid]
-            self.meter.release(self.meter.clause_units(len(clause)))
-            self._engine.release(clause)
-        else:
-            self._remaining[cid] = remaining - 1
-
-    def _streaming_pass(self, needed_counts, level_zero_entries, final_cid) -> bool:
-        assert self._num_original is not None
-        deadline = self._deadline
-        ticks = 0
-        for record in self._records():
-            if deadline is not None:
-                ticks += 1
-                if not ticks & 0xFF:
-                    deadline.check()
-            if not isinstance(record, LearnedClause):
-                continue
-            uses = needed_counts.get(record.cid)
-            if uses is None:
-                continue  # not on any path to the empty clause: skip
-            if not record.sources:
-                raise CheckFailure(
-                    FailureKind.MALFORMED_TRACE,
-                    "learned clause record has no resolve sources",
-                    cid=record.cid,
-                )
-            try:
-                clause = self._engine.chain(record.cid, record.sources, self._get_clause)
-            except ResolutionError as exc:
-                self._resolutions += max(0, (exc.context.get("chain_position") or 1) - 1)
-                raise
-            for source in record.sources:
-                self._note_use(source)
-            self._resolutions += len(record.sources) - 1
-            self._clauses_built += 1
-            self._resident[record.cid] = clause
-            self._remaining[record.cid] = uses
-            self.meter.allocate(self.meter.clause_units(len(clause)))
-
-        level_zero = LevelZeroState(level_zero_entries)
-        self.meter.allocate(self.meter.record_units(3) * len(level_zero_entries))
-        steps = derive_empty_clause(
-            final_cid,
-            self._get_clause(final_cid),
-            level_zero,
-            get_clause=self._get_clause,
-            on_use=self._note_use,
-            resolve_fn=self._engine.resolve,
-            deadline=self._deadline,
-        )
-        self._resolutions += steps
-        return True
+        self._used.add(cid)
+        # An explicit base call: zero-argument super() costs a few percent
+        # of the checking pass on this per-source path.
+        return BreadthFirstChecker._get_clause(self, cid)

@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterator, Sequence
 
 from repro.checker.errors import CheckFailure, FailureKind
 from repro.checker.memory import Deadline
 from repro.checker.report import CheckReport
 from repro.checker.unitprop import UnitPropagator
 from repro.cnf import CnfFormula
-from repro.proofs.parser import iter_proof_steps, read_proof
+from repro.proofs.parser import iter_proof_steps
 
 
 class DrupWriter:
@@ -83,21 +83,10 @@ class RupChecker:
         formula: CnfFormula,
         proof_path: str | Path,
         deadline: Deadline | None = None,
-        prune_plan=None,
     ):
         self.formula = formula
         self.proof_path = proof_path
         self._deadline = deadline
-        # Core-first pruning. DRUP identifies lemmas by position, not ID,
-        # so the plan's ``skip_ordinals`` only apply when the proof's add
-        # steps align 1:1 with the trace's learned records (preprocessing
-        # resolvents are traced but not DRUP-logged, breaking alignment);
-        # otherwise the check silently runs unpruned. Skipping a dead lemma
-        # preserves RUP-ness of every kept one: a kept clause's trivial
-        # resolution chain lies entirely inside the kept cone.
-        self._plan = prune_plan
-        self._prune_applied = False
-        self._pruned_steps = 0
 
     def check(self) -> CheckReport:
         """Run the check; never raises — failures land in the report."""
@@ -109,38 +98,15 @@ class RupChecker:
             verified, steps = self._run()
         except CheckFailure as exc:
             failure = exc
-        prune_info = None
-        if self._plan is not None:
-            prune_info = self._plan.to_dict()
-            prune_info["applied"] = self._prune_applied
-            prune_info["steps_skipped"] = self._pruned_steps
         return CheckReport(
             method=self.method,
             verified=verified,
             failure=failure,
             clauses_built=steps,
-            total_learned=steps + self._pruned_steps,
+            total_learned=steps,
             check_time=time.perf_counter() - start,
             resolutions=steps,
-            prune=prune_info,
         )
-
-    def _proof_steps(self) -> tuple[Iterable[tuple[str, list[int]]], frozenset[int]]:
-        """The proof's step stream plus the add-step ordinals to skip.
-
-        Unpruned checks stream the proof file directly (constant memory).
-        With a prune plan the proof is materialized in *one* pass —
-        :func:`repro.proofs.read_proof` folds the add-step count needed
-        for the plan's alignment guard into that same pass, so the file
-        is never read twice.
-        """
-        if self._plan is None or not self._plan.skip_ordinals:
-            return iter_proof_steps(self.proof_path), frozenset()
-        doc = read_proof(self.proof_path)
-        if doc.num_adds != self._plan.total_learned:
-            return doc.steps, frozenset()  # not 1:1 with the trace: unpruned
-        self._prune_applied = True
-        return doc.steps, self._plan.skip_ordinals
 
     def _run(self) -> tuple[bool, int]:
         engine = UnitPropagator(self.formula.num_vars)
@@ -150,11 +116,7 @@ class RupChecker:
             key = tuple(sorted(set(clause.literals)))
             index_of.setdefault(key, []).append(index)
 
-        proof_steps, skip_ordinals = self._proof_steps()
-        # Deletions of skipped clauses must consume a skip credit instead of
-        # removing an identical *kept* clause from the database.
-        skipped_pool: dict[tuple[int, ...], int] = {}
-        ordinal = 0
+        proof_steps = iter_proof_steps(self.proof_path)
         steps = 0
         deadline = self._deadline
         if deadline is not None:
@@ -164,24 +126,11 @@ class RupChecker:
             if deadline is not None and not position & 0x3F:
                 deadline.check()
             if kind == "delete":
-                key = tuple(sorted(set(literals)))
-                credit = skipped_pool.get(key, 0)
-                if credit:
-                    skipped_pool[key] = credit - 1
-                    continue
-                indices = index_of.get(key)
+                indices = index_of.get(tuple(sorted(set(literals))))
                 if indices:
                     engine.remove_clause(indices.pop())
                 # Deleting an unknown clause is tolerated (drat-trim does too).
                 continue
-            if literals:
-                this_ordinal = ordinal
-                ordinal += 1
-                if this_ordinal in skip_ordinals:
-                    self._pruned_steps += 1
-                    key = tuple(sorted(set(literals)))
-                    skipped_pool[key] = skipped_pool.get(key, 0) + 1
-                    continue  # statically dead: neither checked nor added
             steps += 1
             if not engine.propagate([-lit for lit in literals]):
                 raise CheckFailure(

@@ -347,7 +347,10 @@ class CheckSupervisor:
             else:
                 from repro.trace.io import load_trace
 
-                self._loaded_trace = load_trace(self._source)
+                try:
+                    self._loaded_trace = load_trace(self._source)
+                except OSError as exc:
+                    raise TraceError(f"{self._source}: {exc}") from None
         return self._loaded_trace
 
     def _build_checker(self, method: str):
@@ -398,11 +401,8 @@ class CheckSupervisor:
             )
         if method == "rup":
             # The supervisor's source *is* the DRUP proof here; there is no
-            # resolution trace to analyze, so the plan is always None.
-            return RupChecker(
-                self.formula, self._source, deadline=deadline,
-                prune_plan=self._prune_plan(),
-            )
+            # resolution trace to prune by.
+            return RupChecker(self.formula, self._source, deadline=deadline)
         if method == "drat":
             # Like rup, the source is the clausal proof file. Backward
             # (core-first) checking replaces trace-based pruning here.

@@ -236,3 +236,23 @@ def test_registry_is_extensible():
         assert report.rule_ids() == {"X900"}
     finally:
         del RULE_REGISTRY["X900"]
+
+
+def test_t006_walks_the_cone_from_the_first_final_conflict_only():
+    """A later final conflict seeds nothing: the checkers and the graph tier
+    derive the empty clause from the first one, so T006 must agree with
+    T013 and the graph's core count on the same report."""
+    records = [
+        TraceHeader(num_vars=2, num_original_clauses=4),
+        LearnedClause(5, (3, 4)),
+        LevelZeroAssignment(1, True, 1),
+        FinalConflict(2),
+        FinalConflict(5),
+        TraceResult("UNSAT"),
+    ]
+    report = analyze_trace(records, graph=True)
+    t006 = [d for d in report.diagnostics if d.rule_id == "T006"]
+    assert len(t006) == 1 and t006[0].context["unreachable"] == 1
+    t013 = [d for d in report.diagnostics if d.rule_id == "T013"]
+    assert [d.cids for d in t013] == [(5,)]
+    assert report.reachable_learned == report.graph["core_learned"] == 0

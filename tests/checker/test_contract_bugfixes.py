@@ -11,6 +11,8 @@ Each test pins one historical bug:
 * with multiple FinalConflict records the BF checker verified only the
   first but the counting pass charged every conflict reference, leaving
   clauses resident forever and inflating ``peak_memory_units``.
+* an unreadable trace path escaped ``check()`` as ``FileNotFoundError``
+  from the BF and hybrid checkers and from the supervisor's DF loader.
 """
 
 from __future__ import annotations
@@ -174,3 +176,37 @@ def test_multi_conflict_accounting_drains_on_real_traces():
     dup_checker = BreadthFirstChecker(formula, duplicated)
     assert dup_checker.check().verified
     assert dup_checker.meter.current == baseline.meter.current
+
+
+# -- bug 5: an unreadable trace path must not escape check() ---------------------
+
+
+@pytest.mark.parametrize("prune", [False, True])
+@pytest.mark.parametrize("method", ["bf", "hybrid", "streaming", "df"])
+def test_unreadable_trace_path_is_a_malformed_trace_when_supervised(tmp_path, method, prune):
+    from repro.checker import supervised_check
+
+    missing = tmp_path / "missing.trace"
+    report = supervised_check(
+        _trivially_unsat_formula(), str(missing), method=method, policy="strict", prune=prune
+    )
+    assert not report.verified
+    assert report.failure.kind is FailureKind.MALFORMED_TRACE
+    assert str(missing) in report.failure.message
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda f, p: BreadthFirstChecker(f, p),
+        lambda f, p: BreadthFirstChecker(f, p, count_chunk_size=2),
+        lambda f, p: HybridChecker(f, p),
+    ],
+    ids=["bf", "bf-chunked", "hybrid"],
+)
+def test_unreadable_trace_path_lands_in_the_report(tmp_path, build):
+    missing = tmp_path / "missing.trace"
+    report = build(_trivially_unsat_formula(), missing).check()  # must not raise
+    assert not report.verified
+    assert report.failure.kind is FailureKind.MALFORMED_TRACE
+    assert str(missing) in report.failure.message

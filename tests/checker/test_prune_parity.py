@@ -17,11 +17,9 @@ from repro.checker import (
     BreadthFirstChecker,
     DepthFirstChecker,
     HybridChecker,
-    RupChecker,
     StreamingWindowChecker,
 )
-from repro.checker.rup import DrupWriter
-from repro.solver import Solver, SolverConfig, solve_formula
+from repro.solver import SolverConfig, solve_formula
 from repro.solver.buggy import BugKind, make_buggy_solver
 from repro.trace import InMemoryTraceWriter
 
@@ -98,10 +96,14 @@ def test_clean_traces_verify_identically_pruned_and_unpruned(make):
         assert pruned.verified, (name, pruned.failure)
         assert pruned.prune is not None and unpruned.prune is None
         assert pruned.prune["skipped"] == len(plan.skip)
-        # The pruned run builds exactly the cone (df builds it regardless).
-        if name in ("bf", "streaming"):
+        # The pruned run builds exactly the cone (df builds it regardless,
+        # hybrid computes it itself when no plan is handed in).
+        if name in ("bf", "hybrid", "streaming"):
             assert pruned.clauses_built == len(plan.keep)
+        if name in ("bf", "streaming"):
             assert unpruned.clauses_built == plan.total_learned
+        if name == "hybrid":
+            assert unpruned.clauses_built == len(plan.keep)
 
 
 def test_pruned_bf_builds_only_the_cone():
@@ -235,98 +237,62 @@ def test_checkpoint_fingerprints_separate_pruned_and_unpruned(tmp_path):
     assert pruned._trace_fingerprint() != unpruned._trace_fingerprint()
 
 
-# -- RUP ---------------------------------------------------------------------
+# -- hybrid: BF over the analyzer's cone ----------------------------------------
+
+# c1=[1] c2=[-1] c3=[1 2] c4=[-2 1]: the final conflict c2 resolves against
+# the level-0 antecedent c1 to the empty clause; (3, 4) resolves to [1].
+_FOUR_CLAUSES = [[1], [-1], [1, 2], [-2, 1]]
+
+_VETOED_TRACES = {
+    # Two dead learned clauses with non-monotonic IDs.
+    "non-monotonic-dead": "T 2 4\nCL 6 3 4\nCL 5 3 4\nV 1 1 1\nCONF 2\nR UNSAT\n",
+    # An undefined level-0 antecedent for a variable no resolution touches.
+    "undefined-antecedent": "T 2 4\nCL 5 3 4\nV 1 1 1\nV 2 1 99\nCONF 2\nR UNSAT\n",
+}
 
 
-def _solve_with_drup(formula, tmp_path, seed=0, **config):
-    trace_writer = InMemoryTraceWriter()
-    drup_path = tmp_path / "proof.drup"
-    solver = Solver(
-        formula,
-        config=SolverConfig(seed=seed, **config),
-        trace_writer=trace_writer,
-        drup_writer=DrupWriter(drup_path),  # the solver finishes and closes it
-    )
-    assert solver.solve().is_unsat
-    return trace_writer.to_trace(), drup_path
+def _outcome(report):
+    if report.verified:
+        return ("verified",)
+    failure = report.failure
+    return (failure.kind.value, failure.message, failure.context)
 
 
-def test_rup_pruned_skips_dead_steps_and_still_verifies(tmp_path):
-    formula = pigeonhole(6, 5)
-    trace, drup_path = _solve_with_drup(formula, tmp_path)
-    plan = compute_prune_plan(trace)
-    assert plan is not None
+@pytest.mark.parametrize("text", list(_VETOED_TRACES.values()), ids=list(_VETOED_TRACES))
+def test_hybrid_follows_bf_on_traces_the_analyzer_vetoes(text, tmp_path):
+    from repro.cnf import CnfFormula
 
-    unpruned = RupChecker(formula, drup_path).check()
-    pruned = RupChecker(formula, drup_path, prune_plan=plan).check()
-    assert unpruned.verified and pruned.verified
-    assert pruned.prune["applied"] is True
-    assert pruned.prune["steps_skipped"] == len(plan.skip_ordinals)
-    assert pruned.total_learned == unpruned.total_learned
-
-
-def test_rup_fault_in_cone_fails_pruned_and_unpruned(tmp_path):
-    """Corrupt an add step that pruning keeps: both runs must refuse it."""
-    formula = pigeonhole(6, 5)
-    trace, drup_path = _solve_with_drup(formula, tmp_path)
-    plan = compute_prune_plan(trace)
-    ordered = list(trace.learned)
-    keep_ordinals = [o for o in range(len(ordered)) if o not in plan.skip_ordinals]
-    target = keep_ordinals[len(keep_ordinals) // 2]
-
-    # Rewrite that add step into a clause that is not RUP: a fresh clause
-    # over unconstrained polarity flips is not implied by unit propagation.
-    lines = drup_path.read_text().splitlines()
-    add_ordinal = -1
-    for number, line in enumerate(lines):
-        stripped = line.strip()
-        if not stripped or stripped.startswith(("c", "d")) or stripped == "0":
-            continue
-        add_ordinal += 1
-        if add_ordinal == target:
-            literals = [int(tok) for tok in stripped.split()[:-1]]
-            lines[number] = " ".join(str(-lit) for lit in literals) + " 0"
-            break
-    corrupt = tmp_path / "corrupt.drup"
-    corrupt.write_text("\n".join(lines) + "\n")
-
-    unpruned = RupChecker(formula, corrupt).check()
-    pruned = RupChecker(formula, corrupt, prune_plan=plan).check()
-    assert not unpruned.verified
-    assert not pruned.verified
-    assert unpruned.failure.kind == pruned.failure.kind
+    formula = CnfFormula(2, _FOUR_CLAUSES)
+    path = tmp_path / "vetoed.trace"
+    path.write_text(text)
+    assert compute_prune_plan(str(path)) is None
+    bf = BreadthFirstChecker(formula, path).check()
+    hybrid = HybridChecker(formula, path).check()
+    assert _outcome(hybrid) == _outcome(bf)
 
 
-def test_rup_alignment_guard_disables_pruning_on_mismatch(tmp_path):
-    """A plan whose learned count disagrees with the DRUP add count (e.g.
-    preprocessing resolvents traced but not logged) must be ignored."""
-    import dataclasses
+class _TimeoutFromCall:
+    """A deadline double that expires from its ``k``-th poll on."""
 
-    formula = pigeonhole(6, 5)
-    trace, drup_path = _solve_with_drup(formula, tmp_path)
-    plan = compute_prune_plan(trace)
-    skewed = dataclasses.replace(plan, total_learned=plan.total_learned + 1)
+    def __init__(self, k):
+        self.k = k
+        self.calls = 0
 
-    report = RupChecker(formula, drup_path, prune_plan=skewed).check()
-    assert report.verified
-    assert report.prune["applied"] is False
-    assert report.prune["steps_skipped"] == 0
+    def check(self):
+        from repro.checker.memory import CheckTimeout
+
+        self.calls += 1
+        if self.calls >= self.k:
+            raise CheckTimeout(0.0, 0.0)
 
 
-def test_rup_deletion_of_skipped_clause_consumes_skip_credit(tmp_path):
-    """With clause deletion active, a `d` step for a skipped (never-added)
-    clause must not remove an identical kept clause from the database."""
+@pytest.mark.parametrize("k", [2, 3])
+def test_hybrid_graph_pass_polls_the_deadline(k):
+    """The first poll is check()'s own; every later one that can expire
+    before the BF pass starts must come from the graph pass."""
     formula = pigeonhole(7, 6)
-    trace, drup_path = _solve_with_drup(
-        formula, tmp_path, seed=1, max_learned_factor=0.05, min_learned_cap=20
-    )
-    assert trace.num_deletions > 0
-    plan = compute_prune_plan(trace)
-    assert plan is not None and plan.skip
-
-    unpruned = RupChecker(formula, drup_path).check()
-    pruned = RupChecker(formula, drup_path, prune_plan=plan).check()
-    assert unpruned.verified
-    assert pruned.verified
-    assert pruned.prune["applied"] is True
-    assert pruned.prune["steps_skipped"] == len(plan.skip_ordinals)
+    trace = solved_trace(formula)
+    assert sum(1 for _ in trace.records()) > 3 * 256
+    report = HybridChecker(formula, trace, deadline=_TimeoutFromCall(k)).check()
+    assert report.failure is not None and report.failure.kind.value == "timeout"
+    assert report.clauses_built == 0
