@@ -10,7 +10,8 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import bench_suite
-from repro.checker import DrupWriter, RupChecker
+from repro.checker import RupChecker
+from repro.proofs import TextProofWriter
 from repro.solver import Solver, SolverConfig
 
 # RUP checking is O(propagation) per learned clause: keep to lighter instances.
@@ -26,7 +27,7 @@ def drup_proofs(tmp_path_factory):
             continue
         formula = instance.build()
         path = directory / f"{instance.name}.drup"
-        result = Solver(formula, SolverConfig(), drup_writer=DrupWriter(path)).solve()
+        result = Solver(formula, SolverConfig(), drup_writer=TextProofWriter(path)).solve()
         assert result.is_unsat
         proofs[instance.name] = (formula, path)
     return proofs

@@ -20,11 +20,12 @@ structured diagnostic.
   memory-outs regardless of trace size.
 * :func:`check_model` — the easy direction: linear-time validation of a
   satisfying assignment.
-* :class:`RupChecker` — modern extension: validates DRUP-style proofs by
-  reverse unit propagation (the lineage that leads to drat-trim).
-* :class:`DratChecker` (re-exported from :mod:`repro.proofs`) — the full
-  clausal front end: text or binary DRAT with RAT fallback and two-pass
-  backward (core-first) checking.
+* :class:`DratChecker` (re-exported from :mod:`repro.proofs`) — the
+  clausal front end, the lineage that leads from the paper's traces to
+  drat-trim: text or binary DRAT with RAT fallback and two-pass backward
+  (core-first) checking.
+* :class:`RupChecker` (likewise) — DRUP proofs: ``DratChecker``'s forward
+  pass with the RAT fallback off.
 * :class:`CheckSupervisor` — the resilience layer: wall-clock/memory
   budgets, the DF → hybrid → BF degradation ladder (streaming as the last
   rung for huge traces) and BF checkpoint/resume (see
@@ -58,8 +59,7 @@ from repro.checker.breadth_first import (
 )
 from repro.checker.hybrid import HybridChecker
 from repro.checker.streaming import StreamingWindowChecker
-from repro.checker.rup import RupChecker, DrupWriter
-from repro.proofs.drat import DratChecker
+from repro.proofs.drat import DratChecker, RupChecker
 from repro.checker.supervisor import (
     CheckPolicy,
     CheckSupervisor,
@@ -89,7 +89,6 @@ __all__ = [
     "HybridChecker",
     "StreamingWindowChecker",
     "RupChecker",
-    "DrupWriter",
     "DratChecker",
     "CheckPolicy",
     "CheckSupervisor",

@@ -6,7 +6,8 @@ sources) and converts any error-severity diagnostic into a
 :class:`~repro.checker.errors.CheckFailure` of kind ``STATIC_PRECHECK``
 *before* a single clause is built or a single resolution performed. The
 failure context carries the rule IDs so callers can triage without
-re-running the linter.
+re-running the linter. A trace file the linter cannot open or read is a
+``MALFORMED_TRACE`` failure, as it is for the checkers themselves.
 """
 
 from __future__ import annotations
@@ -24,7 +25,10 @@ def run_precheck(source) -> "AnalysisReport":  # noqa: F821 - forward ref in doc
     """
     from repro.analysis import analyze_trace
 
-    report = analyze_trace(source)
+    try:
+        report = analyze_trace(source)
+    except OSError as exc:
+        raise CheckFailure(FailureKind.MALFORMED_TRACE, f"{source}: {exc}") from None
     if not report.ok:
         first = report.errors[0]
         raise CheckFailure(

@@ -47,9 +47,9 @@ from repro.checker.errors import CheckFailure, FailureKind
 from repro.checker.hybrid import HybridChecker
 from repro.checker.memory import Deadline
 from repro.checker.report import CheckReport
-from repro.checker.rup import RupChecker
 from repro.checker.streaming import StreamingWindowChecker
 from repro.cnf import CnfFormula
+from repro.proofs.drat import DratChecker, RupChecker
 from repro.trace.records import Trace, TraceError
 
 #: Failure kinds the fallback policy is allowed to degrade on. Anything
@@ -401,13 +401,11 @@ class CheckSupervisor:
             )
         if method == "rup":
             # The supervisor's source *is* the DRUP proof here; there is no
-            # resolution trace to prune by.
+            # resolution trace to prune by, and RUP checks forward only.
             return RupChecker(self.formula, self._source, deadline=deadline)
         if method == "drat":
             # Like rup, the source is the clausal proof file. Backward
             # (core-first) checking replaces trace-based pruning here.
-            from repro.proofs.drat import DratChecker
-
             return DratChecker(
                 self.formula,
                 self._source,

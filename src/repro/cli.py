@@ -5,21 +5,22 @@ can be driven from shell scripts the way zchaff and its checker were. The
 ``repro`` umbrella command exposes every tool as a subcommand
 (``repro lint-trace``, ``repro check``, …); the ``repro-*`` entry points
 remain for script compatibility.
+
+``repro check`` and ``repro submit`` share one declaration of the check
+flags and one options builder, and every ``repro check`` runs through the
+checking supervisor, so both commands accept, reject and key a check the
+same way.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
-from repro.checker import (
-    BreadthFirstChecker,
-    DepthFirstChecker,
-    HybridChecker,
-    RupChecker,
-    check_model,
-)
+from repro.checker import DepthFirstChecker, check_model, supervised_check
+from repro.checker.supervisor import LADDERS
 from repro.cnf import parse_dimacs_file
 from repro.core_extract import iterate_core
 from repro.solver import Solver, SolverConfig
@@ -98,18 +99,6 @@ def solve_main(argv: list[str] | None = None) -> int:
     return 0 if result.status != "UNKNOWN" else 1
 
 
-_CHECKERS = {
-    "df": "depth-first",
-    "bf": "breadth-first",
-    "hybrid": "hybrid",
-    "rup": "rup",
-    "drat": "drat",
-    "streaming": "streaming",
-}
-
-#: Trace-replaying methods --proof-format trace is compatible with.
-_TRACE_METHODS = ("df", "bf", "hybrid", "streaming")
-
 #: Lowest accepted value per numeric check flag (argparse dest). Anything
 #: below is a usage error here, not a ValueError inside a checker or a
 #: failed job inside a service worker.
@@ -170,16 +159,9 @@ def _resolve_proof_source(parser, method: str, proof_format: str, proof_path: st
     return "drat", "drat"
 
 
-def check_main(argv: list[str] | None = None) -> int:
-    """repro-check: validate an UNSAT claim from its trace/proof."""
-    parser = argparse.ArgumentParser(prog="repro-check")
-    parser.add_argument("cnf", help="DIMACS CNF file")
-    parser.add_argument(
-        "proof",
-        help="trace file (df/bf/hybrid/streaming) or DRUP/DRAT proof "
-        "(rup/drat; text or binary encoding, auto-detected)",
-    )
-    parser.add_argument("--method", default="df", choices=sorted(_CHECKERS))
+def _add_check_flags(parser) -> None:
+    """The flags ``repro check`` and ``repro submit`` share."""
+    parser.add_argument("--method", default="df", choices=sorted(LADDERS))
     parser.add_argument(
         "--proof-format",
         default="auto",
@@ -196,6 +178,23 @@ def check_main(argv: list[str] | None = None) -> int:
         "(reported in the prune section of the report)",
     )
     parser.add_argument(
+        "--policy",
+        default=None,
+        choices=["strict", "fallback"],
+        help="strict: run the requested checker once; fallback: degrade "
+        "df -> hybrid -> bf on memory-out / timeout / worker-crash, "
+        "recording the ladder in the report (default: strict for "
+        "repro check, fallback for a submitted job)",
+    )
+    parser.add_argument(
+        "--timeout",
+        type=float,
+        default=None,
+        metavar="S",
+        help="wall-clock budget per checking attempt, in seconds "
+        "(exceeding it is a structured timeout, not a hang)",
+    )
+    parser.add_argument(
         "--mem-limit",
         "--memory-limit",
         dest="mem_limit",
@@ -204,19 +203,11 @@ def check_main(argv: list[str] | None = None) -> int:
         help="logical memory budget in units; exceeding it is a structured "
         "memory-out, not a crash",
     )
-    parser.add_argument("--show-core", action="store_true", help="print the unsat core (df/hybrid)")
     parser.add_argument(
         "--precheck",
         action="store_true",
         help="run the static trace linter first and fail fast on structural "
         "errors (df/bf/hybrid; a DRUP proof has no trace to lint)",
-    )
-    parser.add_argument(
-        "--stream",
-        action="store_true",
-        help="shorthand for --method streaming: the constant-memory "
-        "shifting-window checker over an mmap'd trace; resident clauses "
-        "bounded by --memory-window, overflow spills to disk",
     )
     parser.add_argument(
         "--memory-window",
@@ -248,6 +239,104 @@ def check_main(argv: list[str] | None = None) -> int:
         choices=["kernel", "reference"],
         help="resolution engine: the marking-array kernel (default) or the "
         "frozenset reference oracle (df/bf/hybrid/streaming)",
+    )
+
+
+def _check_options(parser, args, default_policy=None, stream=False) -> dict:
+    """Validate the shared check flags into the options of one check.
+
+    The dict is what :func:`~repro.checker.supervised_check` and the
+    service take and fingerprint, so ``repro check`` and ``repro submit``
+    reject the same invocations and key the same check alike. Options at
+    their default are left out. ``default_policy`` is the policy a check
+    without ``--policy`` runs under: ``repro check`` passes ``"strict"``,
+    and a job without one runs the supervisor's fallback.
+    """
+    _check_flag_minimums(parser, args)
+    method, proof_format = _resolve_proof_source(
+        parser, args.method, args.proof_format, args.proof
+    )
+    if args.backward and method != "drat":
+        parser.error(
+            "--backward is the DRAT checker's core-first mode; it needs "
+            "--proof-format drat (or --method drat)"
+        )
+    if args.precheck and method in ("rup", "drat"):
+        parser.error(
+            f"--precheck lints resolution traces; not applicable to "
+            f"--method {method}"
+        )
+    if args.prune and method in ("rup", "drat"):
+        hint = " (for DRAT, --backward is the clausal analogue)" if method == "drat" else ""
+        parser.error(
+            f"--prune needs a resolution trace to analyze; "
+            f"not --method {method}{hint}"
+        )
+    if stream:
+        if method not in ("df", "streaming"):
+            parser.error(f"--stream conflicts with --method {method}")
+        method = "streaming"
+    policy = args.policy or default_policy
+    if (
+        (args.memory_window is not None or args.window_records is not None)
+        and method != "streaming"
+        and policy == "strict"
+    ):
+        # The fallback ladder (also what a job without a policy runs) can
+        # still land on the streaming tier for big traces.
+        parser.error(
+            "--memory-window/--window-records apply to the streaming "
+            "checker (--stream, or --policy fallback whose ladder can "
+            "reach it)"
+        )
+    options: dict = {"method": method}
+    if method == "drat":
+        # Both are cache-key material: a backward verdict must live on a
+        # different cache line from a forward one.
+        options["proof_format"] = proof_format
+        if args.backward:
+            options["backward"] = True
+    for name, value in (
+        ("policy", policy),
+        ("timeout", args.timeout),
+        ("memory_limit", args.mem_limit),
+        ("memory_window", args.memory_window),
+        ("window_records", args.window_records),
+    ):
+        if value is not None:
+            options[name] = value
+    if args.precheck:
+        options["precheck"] = True
+    if args.prune:
+        options["prune"] = True
+    if args.engine != "kernel":
+        options["use_kernel"] = False
+    return options
+
+
+def check_main(argv: list[str] | None = None) -> int:
+    """repro-check: validate an UNSAT claim from its trace/proof.
+
+    Every check runs through :func:`~repro.checker.supervised_check`
+    (strict policy unless ``--policy`` says otherwise), or through
+    :meth:`~repro.service.ServiceClient.check` with ``--cache``, so a
+    malformed or unreadable input is a failed check, never a traceback.
+    """
+    parser = argparse.ArgumentParser(prog="repro-check")
+    parser.add_argument("cnf", help="DIMACS CNF file")
+    parser.add_argument(
+        "proof",
+        help="trace file (df/bf/hybrid/streaming) or DRUP/DRAT proof "
+        "(rup/drat; text or binary encoding, auto-detected)",
+    )
+    _add_check_flags(parser)
+    parser.add_argument("--show-core", action="store_true", help="print the unsat core (df/hybrid)")
+    parser.add_argument(
+        "--stream",
+        action="store_true",
+        help="shorthand for --method streaming: the constant-memory "
+        "shifting-window checker over an mmap'd trace; resident clauses "
+        "bounded by --memory-window, overflow spills to disk",
     )
     parser.add_argument(
         "--profile",
@@ -282,24 +371,8 @@ def check_main(argv: list[str] | None = None) -> int:
     )
     resilience = parser.add_argument_group(
         "resilience (repro.checker.supervisor)",
-        "budgets, the degradation ladder and checkpoint/resume; any of "
-        "these flags routes the check through the supervisor",
-    )
-    resilience.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="S",
-        help="wall-clock budget per checking attempt, in seconds "
-        "(exceeding it is a structured timeout, not a hang)",
-    )
-    resilience.add_argument(
-        "--policy",
-        default=None,
-        choices=["strict", "fallback"],
-        help="strict: run the requested checker once; fallback: degrade "
-        "df -> hybrid -> bf on memory-out / timeout / worker-crash, "
-        "recording the ladder in the report",
+        "the degradation ladder's shape and checkpoint/resume; --timeout, "
+        "--mem-limit and --policy set the budgets and the policy",
     )
     resilience.add_argument(
         "--streaming-threshold",
@@ -333,57 +406,18 @@ def check_main(argv: list[str] | None = None) -> int:
         "snapshot does not match)",
     )
     args = parser.parse_args(argv)
-    _check_flag_minimums(parser, args)
-
-    args.method, resolved_format = _resolve_proof_source(
-        parser, args.method, args.proof_format, args.proof
-    )
-    if args.backward and args.method != "drat":
-        parser.error(
-            "--backward is the DRAT checker's core-first mode; it needs "
-            "--proof-format drat (or --method drat)"
-        )
-    if args.precheck and args.method in ("rup", "drat"):
-        parser.error(
-            f"--precheck lints resolution traces; not applicable to "
-            f"--method {args.method}"
-        )
-    if args.prune and args.method in ("rup", "drat"):
-        hint = " (for DRAT, --backward is the clausal analogue)" if args.method == "drat" else ""
-        parser.error(
-            f"--prune needs a resolution trace to analyze; "
-            f"not --method {args.method}{hint}"
-        )
+    options = _check_options(parser, args, default_policy="strict", stream=args.stream)
     if args.checkpoint_every is not None and not args.checkpoint:
         parser.error("--checkpoint-every needs --checkpoint PATH")
-    if args.stream:
-        if args.method not in ("df", "streaming"):
-            parser.error(f"--stream conflicts with --method {args.method}")
-        args.method = "streaming"
-    if (
-        args.memory_window is not None or args.window_records is not None
-    ) and args.method != "streaming":
-        # The supervisor's fallback ladder can still land on the streaming
-        # tier for big traces, so these stay meaningful with --policy.
-        if args.policy != "fallback":
-            parser.error(
-                "--memory-window/--window-records apply to the streaming "
-                "checker (--stream, or --policy fallback whose ladder can "
-                "reach it)"
-            )
-    if args.method == "streaming" and (args.checkpoint or args.resume):
+    if options["method"] == "streaming" and (args.checkpoint or args.resume):
         parser.error("--checkpoint/--resume snapshot breadth-first checks only")
     if args.streaming_threshold is not None and args.policy != "fallback":
         parser.error(
             "--streaming-threshold shapes the fallback ladder; "
             "it needs --policy fallback"
         )
-    supervised = any(
-        value is not None
-        for value in (args.timeout, args.policy, args.checkpoint, args.resume)
-    )
     if args.resume:
-        args.method = "bf"
+        options["method"] = "bf"
     if args.refresh and not args.cache:
         parser.error("--refresh only applies with --cache DIR")
     if args.cache and (args.checkpoint or args.resume):
@@ -394,125 +428,23 @@ def check_main(argv: list[str] | None = None) -> int:
         parser.error("--cache does not combine with --streaming-threshold")
 
     formula = parse_dimacs_file(args.cnf)
-    use_kernel = args.engine == "kernel"
     if args.cache:
         from repro.service import ServiceClient, VerdictCache
 
         client = ServiceClient(cache=VerdictCache(args.cache), refresh=args.refresh)
-        options = dict(
-            method=args.method,
-            policy=args.policy or "strict",
-            timeout=args.timeout,
-            memory_limit=args.mem_limit,
-            use_kernel=use_kernel,
-            precheck=args.precheck,
-        )
-        if args.prune:
-            options["prune"] = True
-        if args.method == "drat":
-            # Both are cache-key material: a backward verdict must live on
-            # a different cache line from a forward one.
-            options["proof_format"] = resolved_format
-            if args.backward:
-                options["backward"] = True
-        if args.memory_window is not None:
-            options["memory_window"] = args.memory_window
-        if args.window_records is not None:
-            options["window_records"] = args.window_records
-
-        class _ClientChecker:
-            @staticmethod
-            def check():
-                return client.check(formula, args.proof, **options)
-
-        checker = _ClientChecker()
-    elif supervised:
-        from repro.checker import CheckSupervisor
-
-        checker = CheckSupervisor(
+        run = functools.partial(client.check, formula, args.proof, **options)
+    else:
+        if args.streaming_threshold is not None:
+            options["streaming_threshold_bytes"] = args.streaming_threshold
+        run = functools.partial(
+            supervised_check,
             formula,
             args.proof,
-            method=args.method,
-            policy=args.policy or "strict",
-            timeout=args.timeout,
-            memory_limit=args.mem_limit,
-            use_kernel=use_kernel,
-            precheck=args.precheck,
             checkpoint_path=args.checkpoint,
             checkpoint_every=args.checkpoint_every or 0,
             resume_from=args.resume,
-            prune=args.prune,
-            backward=args.backward,
-            proof_format=resolved_format,
-            memory_window=args.memory_window,
-            window_records=args.window_records,
-            **(
-                {"streaming_threshold_bytes": args.streaming_threshold}
-                if args.streaming_threshold is not None
-                else {}
-            ),
+            **options,
         )
-    else:
-        prune_plan = None
-        if args.prune:
-            from repro.analysis import compute_prune_plan
-
-            prune_plan = compute_prune_plan(args.proof)
-            if prune_plan is None:
-                print(
-                    "c prune: static analysis found no usable plan; "
-                    "checking unpruned",
-                    file=sys.stderr,
-                )
-        if args.method == "df":
-            checker = DepthFirstChecker(
-                formula,
-                load_trace(args.proof),
-                memory_limit=args.mem_limit,
-                precheck=args.precheck,
-                use_kernel=use_kernel,
-                prune_plan=prune_plan,
-            )
-        elif args.method == "bf":
-            checker = BreadthFirstChecker(
-                formula,
-                args.proof,
-                memory_limit=args.mem_limit,
-                precheck=args.precheck,
-                use_kernel=use_kernel,
-                prune_plan=prune_plan,
-            )
-        elif args.method == "hybrid":
-            checker = HybridChecker(
-                formula,
-                args.proof,
-                memory_limit=args.mem_limit,
-                precheck=args.precheck,
-                use_kernel=use_kernel,
-                prune_plan=prune_plan,
-            )
-        elif args.method == "streaming":
-            from repro.checker import StreamingWindowChecker
-
-            checker = StreamingWindowChecker(
-                formula,
-                args.proof,
-                memory_budget=(
-                    args.memory_window
-                    if args.memory_window is not None
-                    else args.mem_limit
-                ),
-                window_records=args.window_records,
-                precheck=args.precheck,
-                use_kernel=use_kernel,
-                prune_plan=prune_plan,
-            )
-        elif args.method == "drat":
-            from repro.proofs import DratChecker
-
-            checker = DratChecker(formula, args.proof, backward=args.backward)
-        else:
-            checker = RupChecker(formula, args.proof)
 
     if args.profile:
         import cProfile
@@ -520,12 +452,17 @@ def check_main(argv: list[str] | None = None) -> int:
 
         profiler = cProfile.Profile()
         profiler.enable()
-        report = checker.check()
+        report = run()
         profiler.disable()
         stats = pstats.Stats(profiler, stream=sys.stderr)
         stats.sort_stats("cumulative").print_stats(20)
     else:
-        report = checker.check()
+        report = run()
+    if args.prune and report.prune is None:
+        print(
+            "c prune: static analysis found no usable plan; checking unpruned",
+            file=sys.stderr,
+        )
     if args.format == "json":
         payload = report.to_json()
         payload["from_cache"] = report.from_cache
@@ -843,7 +780,12 @@ def serve_main(argv: list[str] | None = None) -> int:
 
 
 def submit_main(argv: list[str] | None = None) -> int:
-    """repro submit: queue one check into a spool directory."""
+    """repro submit: queue one check into a spool directory.
+
+    Takes ``repro check``'s check flags and rejects what it rejects; the
+    job's options are the same dict, minus the policy a job without
+    ``--policy`` leaves to the daemon (fallback).
+    """
     parser = argparse.ArgumentParser(prog="repro-submit")
     parser.add_argument("spool", help="spool directory (created if missing)")
     parser.add_argument("cnf", help="DIMACS CNF file")
@@ -851,79 +793,12 @@ def submit_main(argv: list[str] | None = None) -> int:
         "proof",
         help="trace file (df/bf/hybrid/streaming) or DRUP/DRAT proof (rup/drat)",
     )
-    parser.add_argument("--method", default="df", choices=sorted(_CHECKERS))
-    parser.add_argument(
-        "--proof-format",
-        default="auto",
-        choices=["auto", "trace", "drup", "drat"],
-        help="what the proof file is (see repro check --help); auto sniffs",
-    )
-    parser.add_argument(
-        "--backward",
-        action="store_true",
-        help="DRAT: two-pass backward (core-first) checking; keyed into "
-        "the verdict-cache fingerprint, so forward and backward verdicts "
-        "occupy distinct cache lines",
-    )
-    parser.add_argument("--policy", default=None, choices=["strict", "fallback"])
-    parser.add_argument("--timeout", type=float, default=None, metavar="S")
-    parser.add_argument("--mem-limit", type=int, default=None, metavar="UNITS")
-    parser.add_argument("--precheck", action="store_true")
-    parser.add_argument(
-        "--prune",
-        action="store_true",
-        help="core-first pruning: skip statically dead lemmas (the cached "
-        "verdict records that it was computed under a prune plan)",
-    )
-    parser.add_argument("--engine", default="kernel", choices=["kernel", "reference"])
-    parser.add_argument(
-        "--memory-window",
-        type=int,
-        default=None,
-        metavar="UNITS",
-        help="streaming: resident-clause budget (spills, never fails)",
-    )
-    parser.add_argument(
-        "--window-records",
-        type=int,
-        default=None,
-        metavar="N",
-        help="streaming: records decoded per window batch",
-    )
+    _add_check_flags(parser)
     args = parser.parse_args(argv)
-    _check_flag_minimums(parser, args)
+    options = _check_options(parser, args)
 
     from repro.service import submit_job
 
-    args.method, resolved_format = _resolve_proof_source(
-        parser, args.method, args.proof_format, args.proof
-    )
-    if args.backward and args.method != "drat":
-        parser.error(
-            "--backward is the DRAT checker's core-first mode; it needs "
-            "--proof-format drat (or --method drat)"
-        )
-    options: dict = {"method": args.method}
-    if args.method == "drat":
-        options["proof_format"] = resolved_format
-        if args.backward:
-            options["backward"] = True
-    if args.policy is not None:
-        options["policy"] = args.policy
-    if args.timeout is not None:
-        options["timeout"] = args.timeout
-    if args.mem_limit is not None:
-        options["memory_limit"] = args.mem_limit
-    if args.memory_window is not None:
-        options["memory_window"] = args.memory_window
-    if args.window_records is not None:
-        options["window_records"] = args.window_records
-    if args.precheck:
-        options["precheck"] = True
-    if args.prune:
-        options["prune"] = True
-    if args.engine != "kernel":
-        options["use_kernel"] = False
     try:
         path = submit_job(args.spool, args.cnf, args.proof, options)
     except FileNotFoundError as exc:

@@ -1,4 +1,4 @@
-"""The DRAT checker: RUP with a RAT fallback, forward or backward.
+"""The clausal checkers: RUP with a RAT fallback, forward or backward.
 
 DRAT extends DRUP by accepting clauses that are *resolution asymmetric
 tautologies* (Cruz-Filipe et al., "Efficient Certified RAT Verification"):
@@ -8,6 +8,10 @@ a tautology or RUP. Every RUP clause is trivially RAT, so the checker
 tries the cheap RUP check first and only then enumerates resolution
 partners through the propagator's literal-occurrence index — the same
 strategy (and deletion semantics) as drat-trim.
+
+:class:`RupChecker` is the same forward pass with the RAT fallback off:
+a lemma that is not RUP fails ``BAD_RESOLUTION``, and a DRUP proof must
+end in an explicit empty clause.
 
 Two modes:
 
@@ -62,6 +66,11 @@ class DratChecker:
     """Validates a DRAT (or DRUP) proof against the original formula."""
 
     method = "drat"
+    #: ``CheckReport.proof["format"]``, and the name failure messages use.
+    proof_format = "drat"
+    #: Try RAT on the pivot when the RUP check fails, and accept a proof
+    #: whose database propagates to a conflict without an empty clause.
+    rat = True
 
     def __init__(
         self,
@@ -111,7 +120,7 @@ class DratChecker:
             resolutions=self._propagations,
             prune=self._prune_info,
             proof={
-                "format": "drat",
+                "format": self.proof_format,
                 "mode": "backward" if self.backward else "forward",
                 "adds": self._adds_seen,
                 "deletions": self._deletions,
@@ -169,6 +178,14 @@ class DratChecker:
         if self._conflicts([-lit for lit in unique], mark):
             self._rup_steps += 1
             return
+        if not self.rat:
+            raise CheckFailure(
+                FailureKind.BAD_RESOLUTION,
+                "clause is not RUP: negating it does not propagate to "
+                "a conflict",
+                step=step,
+                literals=list(literals),
+            )
         if not literals:
             raise CheckFailure(
                 FailureKind.NOT_RAT,
@@ -243,13 +260,14 @@ class DratChecker:
             index_of.setdefault(_clause_key(literals), []).append(index)
         # No explicit empty clause: accept iff the database already
         # propagates to a top-level conflict (drat-trim does the same).
-        if self._conflicts([], None):
+        if self.rat and self._conflicts([], None):
             self._implicit_empty = True
             faults.fault_point(FP_FINALIZE, key="forward")
             return True
         raise CheckFailure(
             FailureKind.NOT_EMPTY,
-            "DRAT proof ended without deriving the empty clause",
+            f"{self.proof_format.upper()} proof ended without deriving the "
+            "empty clause",
             steps=step,
         )
 
@@ -348,3 +366,19 @@ class DratChecker:
         }
         faults.fault_point(FP_FINALIZE, key="backward")
         return True
+
+
+class RupChecker(DratChecker):
+    """Validates a DRUP proof: the forward DRAT pass with RAT off."""
+
+    method = "rup"
+    proof_format = "drup"
+    rat = False
+
+    def __init__(
+        self,
+        formula: CnfFormula,
+        proof_path: str | Path,
+        deadline: Deadline | None = None,
+    ):
+        super().__init__(formula, proof_path, deadline=deadline)

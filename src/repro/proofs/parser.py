@@ -21,9 +21,10 @@ Binary proofs are decoded zero-copy off an ``mmap`` of the file in
 batches, the same machinery :mod:`repro.trace.binary_format` uses for
 RTB1 traces, so arbitrarily large proofs never fully reside in memory.
 Malformations (truncated varints, missing terminators, bogus tags,
-non-integer tokens) raise :class:`~repro.checker.errors.CheckFailure`
-with ``FailureKind.MALFORMED_PROOF`` — a verdict about the proof
-artifact, distinct from a failed RUP/RAT check.
+non-integer tokens) and a proof file that cannot be opened or read raise
+:class:`~repro.checker.errors.CheckFailure` with
+``FailureKind.MALFORMED_PROOF`` — a verdict about the proof artifact,
+distinct from a failed RUP/RAT check.
 """
 
 from __future__ import annotations
@@ -61,6 +62,10 @@ ProofStep = tuple[str, list[int]]
 
 
 # -- encoding detection --------------------------------------------------------
+
+
+def _unreadable(path: str | Path, exc: OSError) -> CheckFailure:
+    return CheckFailure(FailureKind.MALFORMED_PROOF, f"{path}: {exc}")
 
 
 def _sniff(path: str | Path) -> bytes:
@@ -118,7 +123,11 @@ def detect_source_format(path: str | Path) -> str:
 
 def iter_text_proof(path: str | Path) -> Iterator[ProofStep]:
     """Yield ("add" | "delete", literals) steps from a text DRUP/DRAT file."""
-    with open(path, "r", encoding="ascii") as handle:
+    try:
+        handle = open(path, "r", encoding="ascii")
+    except OSError as exc:
+        raise _unreadable(path, exc) from None
+    with handle:
         try:
             for lineno, raw in enumerate(handle, start=1):
                 line = raw.strip()
@@ -157,6 +166,8 @@ def iter_text_proof(path: str | Path) -> Iterator[ProofStep]:
                 "binary proofs must be parsed with encoding='binary'",
                 path=str(path),
             ) from None
+        except OSError as exc:
+            raise _unreadable(path, exc) from None
 
 
 # -- binary decoding (mmap zero-copy) ------------------------------------------
@@ -174,7 +185,10 @@ class MappedProof:
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._file: IO[bytes] | None = open(self.path, "rb")
+        try:
+            self._file: IO[bytes] | None = open(self.path, "rb")
+        except OSError as exc:
+            raise _unreadable(path, exc) from None
         self._map: mmap.mmap | None = None
         try:
             self._map = mmap.mmap(self._file.fileno(), 0, access=mmap.ACCESS_READ)
@@ -283,12 +297,20 @@ def iter_binary_proof(
 # -- the unified entry points --------------------------------------------------
 
 
+def _resolve_encoding(path: str | Path, encoding: str) -> str:
+    if encoding != "auto":
+        return encoding
+    try:
+        return detect_proof_encoding(path)
+    except OSError as exc:
+        raise _unreadable(path, exc) from None
+
+
 def iter_proof_steps(
     path: str | Path, encoding: str = "auto"
 ) -> Iterator[ProofStep]:
     """Stream ("add" | "delete", literals) steps from either encoding."""
-    if encoding == "auto":
-        encoding = detect_proof_encoding(path)
+    encoding = _resolve_encoding(path, encoding)
     faults.fault_point(FP_PARSE, key=encoding)
     if encoding == "binary":
         yield from iter_binary_proof(path)
@@ -319,8 +341,7 @@ class ProofDocument:
 
 def read_proof(path: str | Path, encoding: str = "auto") -> ProofDocument:
     """Materialize a proof in one pass, counting as it goes."""
-    if encoding == "auto":
-        encoding = detect_proof_encoding(path)
+    encoding = _resolve_encoding(path, encoding)
     steps: list[ProofStep] = []
     num_adds = 0
     num_deletes = 0

@@ -27,13 +27,7 @@ from repro.cnf import CnfFormula, parse_dimacs_file
 from repro.trace.records import Trace
 
 from repro.service.cache import VerdictCache
-from repro.service.fingerprint import (
-    fingerprint_formula,
-    fingerprint_options,
-    fingerprint_trace,
-    job_key,
-)
-from repro.trace.fingerprint import sha256_file
+from repro.service.fingerprint import fingerprint_check
 from repro.service.metrics import MetricsRegistry
 
 
@@ -193,26 +187,9 @@ class ServiceClient:
         trace_source: str | Path | Trace,
         options: dict,
     ) -> dict:
-        """All four content digests for one prospective check.
-
-        A parsed formula hashes canonically; a path hashes the file bytes
-        (cheaper, and just as binding — the parse is deterministic).
-        """
+        """:func:`~repro.service.fingerprint.fingerprint_check`, timed."""
         started = time.perf_counter()
-        if isinstance(formula, CnfFormula):
-            formula_sha = fingerprint_formula(formula)
-        else:
-            formula_sha = sha256_file(formula)
-        fingerprint = {
-            "formula_sha256": formula_sha,
-            "trace_sha256": fingerprint_trace(trace_source),
-            "options_sha256": fingerprint_options(options),
-        }
-        fingerprint["key"] = job_key(
-            fingerprint["formula_sha256"],
-            fingerprint["trace_sha256"],
-            fingerprint["options_sha256"],
-        )
+        fingerprint = fingerprint_check(formula, trace_source, options)
         self.metrics.observe("fingerprint.latency_s", time.perf_counter() - started)
         return fingerprint
 

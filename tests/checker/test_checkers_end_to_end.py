@@ -10,8 +10,8 @@ from repro.checker import (
     DepthFirstChecker,
     HybridChecker,
     RupChecker,
-    DrupWriter,
 )
+from repro.proofs import TextProofWriter
 from repro.solver import SolverConfig, solve_formula
 from repro.solver.reference import reference_is_satisfiable
 from repro.trace import AsciiTraceWriter, BinaryTraceWriter, InMemoryTraceWriter, load_trace
@@ -60,7 +60,7 @@ def test_hybrid_verifies(name, factory):
 def test_rup_verifies(name, factory, tmp_path):
     formula = factory()
     proof = tmp_path / "proof.drup"
-    result = solve_formula(formula, drup_writer=DrupWriter(proof))
+    result = solve_formula(formula, drup_writer=TextProofWriter(proof))
     assert result.is_unsat
     report = RupChecker(formula, proof).check()
     assert report.verified, report.summary()

@@ -12,7 +12,9 @@ Each test pins one historical bug:
   first but the counting pass charged every conflict reference, leaving
   clauses resident forever and inflating ``peak_memory_units``.
 * an unreadable trace path escaped ``check()`` as ``FileNotFoundError``
-  from the BF and hybrid checkers and from the supervisor's DF loader.
+  from the BF and hybrid checkers and from the supervisor's DF loader,
+  and from the static precheck of BF, hybrid and streaming.
+* an unreadable proof path escaped the RUP and DRAT checkers the same way.
 """
 
 from __future__ import annotations
@@ -181,14 +183,22 @@ def test_multi_conflict_accounting_drains_on_real_traces():
 # -- bug 5: an unreadable trace path must not escape check() ---------------------
 
 
+@pytest.mark.parametrize("precheck", [False, True])
 @pytest.mark.parametrize("prune", [False, True])
 @pytest.mark.parametrize("method", ["bf", "hybrid", "streaming", "df"])
-def test_unreadable_trace_path_is_a_malformed_trace_when_supervised(tmp_path, method, prune):
+def test_unreadable_trace_path_is_a_malformed_trace_when_supervised(
+    tmp_path, method, prune, precheck
+):
     from repro.checker import supervised_check
 
     missing = tmp_path / "missing.trace"
     report = supervised_check(
-        _trivially_unsat_formula(), str(missing), method=method, policy="strict", prune=prune
+        _trivially_unsat_formula(),
+        str(missing),
+        method=method,
+        policy="strict",
+        prune=prune,
+        precheck=precheck,
     )
     assert not report.verified
     assert report.failure.kind is FailureKind.MALFORMED_TRACE
@@ -210,3 +220,29 @@ def test_unreadable_trace_path_lands_in_the_report(tmp_path, build):
     assert not report.verified
     assert report.failure.kind is FailureKind.MALFORMED_TRACE
     assert str(missing) in report.failure.message
+
+
+# -- bug 6: an unreadable proof path must not escape check() ---------------------
+
+
+@pytest.mark.parametrize("supervised", [False, True], ids=["direct", "supervised"])
+@pytest.mark.parametrize("unreadable", ["missing", "directory"])
+@pytest.mark.parametrize("method,backward", [("rup", False), ("drat", False), ("drat", True)])
+def test_unreadable_proof_path_is_a_malformed_proof(
+    tmp_path, method, backward, unreadable, supervised
+):
+    from repro.checker import DratChecker, RupChecker, supervised_check
+
+    path = tmp_path / "missing.drup" if unreadable == "missing" else tmp_path
+    formula = _trivially_unsat_formula()
+    if supervised:
+        report = supervised_check(
+            formula, str(path), method=method, backward=backward, policy="strict"
+        )
+    elif method == "rup":
+        report = RupChecker(formula, path).check()
+    else:
+        report = DratChecker(formula, path, backward=backward).check()
+    assert not report.verified
+    assert report.failure.kind is FailureKind.MALFORMED_PROOF
+    assert report.failure.message.startswith(f"{path}: ")

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.cnf import CnfFormula
-from repro.checker import DrupWriter, RupChecker
+from repro.checker import RupChecker
 from repro.checker.errors import CheckFailure
-from repro.checker.rup import iter_drup
 from repro.checker.unitprop import UnitPropagator
+from repro.proofs import TextProofWriter, iter_proof_steps
 
 
 class TestUnitPropagator:
@@ -60,29 +60,29 @@ class TestUnitPropagator:
 class TestDrupFormat:
     def test_writer_reader_roundtrip(self, tmp_path):
         path = tmp_path / "p.drup"
-        with DrupWriter(path) as writer:
+        with TextProofWriter(path) as writer:
             writer.add_clause([1, -2])
             writer.delete_clause([1, -2])
             writer.finish_unsat()
-        steps = list(iter_drup(path))
+        steps = list(iter_proof_steps(path))
         assert steps == [("add", [1, -2]), ("delete", [1, -2]), ("add", [])]
 
     def test_comments_skipped(self, tmp_path):
         path = tmp_path / "p.drup"
         path.write_text("c comment\n1 2 0\n")
-        assert list(iter_drup(path)) == [("add", [1, 2])]
+        assert list(iter_proof_steps(path)) == [("add", [1, 2])]
 
     def test_missing_terminator_rejected(self, tmp_path):
         path = tmp_path / "p.drup"
         path.write_text("1 2\n")
         with pytest.raises(CheckFailure):
-            list(iter_drup(path))
+            list(iter_proof_steps(path))
 
     def test_bad_token_rejected(self, tmp_path):
         path = tmp_path / "p.drup"
         path.write_text("1 x 0\n")
         with pytest.raises(CheckFailure):
-            list(iter_drup(path))
+            list(iter_proof_steps(path))
 
 
 class TestRupChecker:
@@ -122,3 +122,28 @@ class TestRupChecker:
         proof = tmp_path / "p.drup"
         proof.write_text("d 5 6 0\n0\n")
         assert RupChecker(formula, proof).check().verified
+
+    def test_rup_needs_the_explicit_empty_clause_that_drat_can_skip(self, tmp_path):
+        from repro.proofs import DratChecker
+
+        formula = CnfFormula(2, [[1], [-1]])
+        proof = tmp_path / "p.drup"
+        proof.write_text("d 5 6 0\n")
+        report = RupChecker(formula, proof).check()
+        assert report.failure.kind.value == "not-empty"
+        assert str(report.failure).startswith(
+            "[not-empty] DRUP proof ended without deriving the empty clause"
+        )
+        drat = DratChecker(formula, proof).check()
+        assert drat.verified and drat.proof["implicit_empty"]
+
+    def test_verified_report_counts_lemmas_without_the_empty_clause(self, tmp_path):
+        # (x1)(x2)(-x1 v -x2 v x3)(-x3): lemma (-x1 v -x2) then the empty clause.
+        formula = CnfFormula(3, [[1], [2], [-1, -2, 3], [-3]])
+        proof = tmp_path / "p.drup"
+        proof.write_text("-1 -2 0\nd -3 0\n-1 0\n0\n")
+        report = RupChecker(formula, proof).check()
+        assert report.verified, report.failure
+        assert report.method == "rup"
+        assert report.proof["format"] == "drup"
+        assert report.clauses_built == report.total_learned == 2

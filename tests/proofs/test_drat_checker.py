@@ -235,6 +235,11 @@ def test_rup_checker_rejects_rat_lemmas(fixture_instance, tmp_path):
     proof = _materialize(inst, tmp_path, "text")
     report = RupChecker(_formula(inst), proof).check()
     assert not report.verified
+    assert report.failure.kind is FailureKind.BAD_RESOLUTION
+    assert "not RUP" in report.failure.message
+    # gen_drat writes the RAT lemmas first, so proof step 1 is the first.
+    assert report.failure.context["step"] == 1
+    assert report.failure.context["literals"] == inst.steps[0][1]
 
 
 # -- corruption matrix ---------------------------------------------------------
@@ -270,6 +275,10 @@ def test_fault_probe_parse_raises_directly(fixture_instance, tmp_path):
     proof = _materialize(inst, tmp_path, "text")
     faults.install_plan("point=proofs.parse,kind=raise")
     with pytest.raises(faults.FaultInjected):
+        DratChecker(_formula(inst), proof).check()
+    # An injected disk-full error is not an unreadable, malformed proof.
+    faults.install_plan("point=proofs.parse,kind=enospc")
+    with pytest.raises(OSError, match="injected"):
         DratChecker(_formula(inst), proof).check()
 
 

@@ -4,7 +4,15 @@ import json
 
 import pytest
 
-from repro.cli import check_main, core_main, lint_trace_main, main, solve_main, trace_stats_main
+from repro.cli import (
+    check_main,
+    core_main,
+    lint_trace_main,
+    main,
+    solve_main,
+    submit_main,
+    trace_stats_main,
+)
 from repro.cnf import write_dimacs_file
 from repro.generators import pigeonhole
 from repro.cnf import CnfFormula
@@ -272,3 +280,124 @@ def test_trim_verify_cli(unsat_cnf, clean_trace, tmp_path, capsys):
 def test_umbrella_knows_analyze(clean_trace, capsys):
     assert main(["analyze", str(clean_trace)]) == 0
     assert "core:" in capsys.readouterr().out
+
+
+# -- one path from flags to verdict: supervised checks, shared options -------
+
+
+@pytest.fixture
+def drup_proof(unsat_cnf, tmp_path):
+    proof = tmp_path / "p.drup"
+    assert solve_main([str(unsat_cnf), "--drup", str(proof)]) == 0
+    return proof
+
+
+def test_check_malformed_trace_is_a_failed_check(unsat_cnf, clean_trace, tmp_path, capsys):
+    lines = clean_trace.read_text().splitlines()
+    lines[3] = "CL 999 x y"
+    broken = tmp_path / "broken.trace"
+    broken.write_text("\n".join(lines) + "\n")
+    assert check_main([str(unsat_cnf), str(broken)]) == 1  # default df, auto
+    assert "[malformed-trace] line 4" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "tail,kind",
+    [
+        (["--proof-format", "trace"], "malformed-trace"),
+        (["--method", "rup"], "malformed-proof"),
+    ],
+)
+def test_check_missing_input_is_a_failed_check(unsat_cnf, tmp_path, capsys, tail, kind):
+    missing = tmp_path / "missing"
+    assert check_main([str(unsat_cnf), str(missing), *tail]) == 1
+    out = capsys.readouterr().out
+    assert f"[{kind}] {missing}: " in out
+
+
+@pytest.mark.parametrize(
+    "proof,tail",
+    [
+        ("drup", ["--method", "rup", "--prune"]),
+        ("drup", ["--method", "drat", "--precheck"]),
+        ("trace", ["--method", "bf", "--policy", "strict", "--memory-window", "64"]),
+        ("trace", ["--method", "bf", "--policy", "strict", "--window-records", "8"]),
+        ("trace", ["--backward"]),
+        ("trace", ["--precheck", "--method", "rup"]),
+        ("drup", ["--prune", "--method", "drat"]),
+        ("trace", ["--timeout", "-1"]),
+    ],
+)
+def test_check_and_submit_reject_the_same_invocations(
+    unsat_cnf, clean_trace, drup_proof, tmp_path, capsys, proof, tail
+):
+    argv = [str(unsat_cnf), str(clean_trace if proof == "trace" else drup_proof), *tail]
+    with pytest.raises(SystemExit) as excinfo:
+        check_main(argv)
+    assert excinfo.value.code == 2
+    message = capsys.readouterr().err.splitlines()[-1].split("error: ", 1)[1]
+    spool = tmp_path / "spool"
+    with pytest.raises(SystemExit) as excinfo:
+        submit_main([str(spool), *argv])
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not list((spool / "incoming").glob("*"))
+
+
+def _submitted_options(spool, argv) -> dict:
+    assert submit_main([str(spool), *argv]) == 0
+    (job,) = (spool / "incoming").glob("job-*.json")
+    return json.loads(job.read_text())["options"]
+
+
+def test_submit_without_policy_keeps_the_fallback_window(unsat_cnf, clean_trace, tmp_path):
+    """A job without --policy runs fallback, whose ladder can reach streaming."""
+    argv = [str(unsat_cnf), str(clean_trace), "--method", "bf", "--memory-window", "64"]
+    assert _submitted_options(tmp_path / "spool", argv) == {"method": "bf", "memory_window": 64}
+
+
+@pytest.mark.parametrize(
+    "proof,tail",
+    [
+        ("trace", ["--method", "bf"]),
+        ("trace", ["--method", "streaming", "--memory-window", "64"]),
+        ("drup", ["--method", "drat", "--backward"]),
+    ],
+    ids=["bf", "streaming-window", "drat-backward"],
+)
+def test_check_cache_and_submit_key_a_check_alike(
+    unsat_cnf, clean_trace, drup_proof, tmp_path, capsys, proof, tail
+):
+    from repro.service.fingerprint import fingerprint_options
+
+    argv = [str(unsat_cnf), str(clean_trace if proof == "trace" else drup_proof), *tail]
+    cache = tmp_path / "cache"
+    assert check_main([*argv, "--cache", str(cache), "--format", "json"]) == 0
+    fingerprint = json.loads(capsys.readouterr().out)["fingerprint"]
+    options = _submitted_options(tmp_path / "spool", [*argv, "--policy", "strict"])
+    assert fingerprint["options_sha256"] == fingerprint_options(options)
+
+
+def test_every_option_the_builder_emits_is_allowed(unsat_cnf, clean_trace, drup_proof, tmp_path):
+    """Job options pass the scheduler's allow-list, which only names
+    SupervisorConfig fields a job may set."""
+    from dataclasses import fields
+
+    from repro.checker import SupervisorConfig
+    from repro.service.scheduler import ALLOWED_JOB_OPTIONS
+
+    cnf = str(unsat_cnf)
+    emitted = set()
+    for index, argv in enumerate([
+        [cnf, str(clean_trace), "--method", "bf", "--policy", "fallback", "--timeout", "5",
+         "--memory-limit", "100", "--memory-window", "64", "--window-records", "8",
+         "--precheck", "--prune", "--engine", "reference"],
+        [cnf, str(drup_proof), "--method", "drat", "--backward"],
+    ]):
+        emitted |= set(_submitted_options(tmp_path / f"spool{index}", argv))
+    assert emitted == {
+        "method", "policy", "timeout", "memory_limit", "memory_window", "window_records",
+        "precheck", "prune", "use_kernel", "proof_format", "backward",
+    }
+    assert emitted <= ALLOWED_JOB_OPTIONS
+    assert ALLOWED_JOB_OPTIONS <= {field.name for field in fields(SupervisorConfig)}

@@ -10,10 +10,10 @@ from repro.checker import (
     DepthFirstChecker,
     HybridChecker,
     RupChecker,
-    DrupWriter,
     check_model,
 )
 from repro.cnf import CnfFormula, parse_dimacs_file, write_dimacs_file
+from repro.proofs import TextProofWriter
 from repro.solver import Solver, SolverConfig, solve_formula
 from repro.solver.reference import reference_is_satisfiable
 from repro.trace import (
@@ -104,7 +104,7 @@ def test_full_file_pipeline(tmp_path):
         loaded,
         SolverConfig(),
         trace_writer=BinaryTraceWriter(trace_path),
-        drup_writer=DrupWriter(drup_path),
+        drup_writer=TextProofWriter(drup_path),
     ).solve()
     assert result.is_unsat
 
