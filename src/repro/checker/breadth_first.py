@@ -12,6 +12,10 @@ The counting pass can be chunked over clause-ID ranges
 (``count_chunk_size``) — the paper: "we may also need to break the first
 pass into several passes so that we can count the number of usages of the
 clauses in one range at a time."
+
+On a binary trace the (unchunked) counting pass also spools every record
+it decodes (:mod:`repro.checker.counts`), and the checking pass replays
+the spool instead of decoding the trace a second time.
 """
 
 from __future__ import annotations
@@ -23,13 +27,16 @@ from array import array
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import BinaryIO, Iterator, Sequence
 
 from repro import faults
 from repro.checker.counts import (
     COUNT_SIZE as _COUNT_SIZE,
     CountsReader,
+    iter_spool,
     new_counts_file,
+    new_spool,
+    open_spool,
     write_count_range,
 )
 from repro.checker.errors import CheckFailure, FailureKind
@@ -63,6 +70,18 @@ from repro.trace.records import (
 # are rejected by load_checkpoint — the resume path treats that as a
 # mismatch and falls back to a full run (never fatal).
 _CHECKPOINT_VERSION = 2
+
+
+def _reading(records: Iterator, path: str | Path) -> Iterator:
+    """Yield ``records``; a read error partway through is a :class:`TraceError`.
+
+    Wraps only the trace's record stream, so an ``OSError`` from a counts,
+    spool or checkpoint file keeps its own class.
+    """
+    try:
+        yield from records
+    except OSError as exc:
+        raise TraceError(f"{path}: {exc}") from None
 
 
 class CheckpointError(ValueError):
@@ -193,6 +212,7 @@ class BreadthFirstChecker:
         self._total_learned = 0
         self._resolutions = 0
         self._binary_fast = False
+        self._spool_path: str | None = None  # the counting pass's record spool
         self._deadline = deadline
         # Checkpoint/resume: snapshot every `checkpoint_every` learned
         # builds to `checkpoint_path`; `resume_from` restarts from a prior
@@ -222,20 +242,26 @@ class BreadthFirstChecker:
 
                 self.precheck_report = run_precheck(self._source)
             max_cid, counts_path = self._extent_and_counts()
-            with open(counts_path, "rb") as counts_file:
+            with open(counts_path, "rb") as counts_file, open_spool(
+                self._spool_path
+            ) as spool:
                 assert self._num_original is not None
                 counts = CountsReader(counts_file, self._num_original + 1)
-                verified = self._checking_pass(counts)
+                verified = self._checking_pass(counts, spool)
         except CheckFailure as exc:
             failure = exc
         except TraceError as exc:
-            # A record stream can turn out to be malformed mid-pass (torn
-            # file, zero-source record, bad varint). The public contract is
-            # "never raises", so convert instead of letting it escape.
+            # A record stream can turn out to be malformed or unreadable
+            # mid-pass (torn file, zero-source record, bad varint, a read
+            # error). The public contract is "never raises", so convert
+            # instead of letting it escape.
             failure = CheckFailure(FailureKind.MALFORMED_TRACE, str(exc))
         finally:
             if counts_path is not None:
                 os.unlink(counts_path)
+            if self._spool_path is not None:
+                os.unlink(self._spool_path)
+                self._spool_path = None
         return CheckReport(
             method=self.method,
             verified=verified,
@@ -255,7 +281,7 @@ class BreadthFirstChecker:
         if isinstance(self._source, Trace):
             return self._source.records()
         try:
-            return iter_trace_records(self._source)
+            return _reading(iter_trace_records(self._source), self._source)
         except OSError as exc:
             raise TraceError(f"{self._source}: {exc}") from None
 
@@ -268,8 +294,9 @@ class BreadthFirstChecker:
         not requested), both passes fuse into one
         :func:`scan_binary_learned` sweep that decodes the varints in place
         without constructing record objects — the same arithmetic at a
-        fraction of the cost. Everything else takes the generic
-        record-streaming passes.
+        fraction of the cost — and spools the decoded records for the
+        checking pass. Everything else takes the generic record-streaming
+        passes.
 
         With a prune plan, both passes vanish: the plan already carries the
         extent and the exact use counts restricted to the proof cone.
@@ -308,7 +335,11 @@ class BreadthFirstChecker:
         return plan.max_cid, path
 
     def _fused_scan(self) -> tuple[int, str]:
-        headers, max_cid, num_learned, counts = scan_binary_learned(self._source)
+        with new_spool(self._tmp_dir, prefix="bfcheck-spool-") as spool:
+            headers, max_cid, num_learned, counts = scan_binary_learned(
+                self._source, spool=spool
+            )
+        self._spool_path = spool.path
         if not headers:
             raise CheckFailure(FailureKind.BAD_HEADER, "trace has no header")
         for _num_vars, num_original in headers:
@@ -583,17 +614,21 @@ class BreadthFirstChecker:
         )
         write_checkpoint(checkpoint, self._checkpoint_path)
 
-    def _checking_pass(self, counts: CountsReader) -> bool:
+    def _checking_pass(self, counts: CountsReader, spool: BinaryIO | None) -> bool:
         assert self._num_original is not None
         level_zero_entries: list[LevelZeroAssignment] = []
         final_conflicts: list[int] = []
         status = "UNKNOWN"
         last_cid = self._num_original
-        if self._binary_fast:
-            # Binary source with the batched decoder: learned records come
-            # through as bare (cid, sources) tuples, skipping record
-            # construction on the dominant record type.
-            stream = iter_binary_records_raw(self._source)
+        if spool is not None:
+            # The counting pass spooled every record it decoded; learned
+            # records come back as bare (cid, sources) tuples.
+            stream = iter_spool(spool)
+        elif self._binary_fast:
+            # A prune plan replaced the counting pass (or a value past
+            # int64 left no spool): decode the binary trace, learned
+            # records again as bare tuples.
+            stream = _reading(iter_binary_records_raw(self._source), self._source)
         else:
             stream = self._records()
         records_consumed = 0

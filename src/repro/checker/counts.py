@@ -1,4 +1,5 @@
-"""On-disk per-clause use counts, shared by the BF and streaming checkers.
+"""On-disk per-clause use counts and record spools, shared by the BF and
+streaming checkers.
 
 The paper's counting pre-pass (§3.3) records, for every learned clause,
 how many times it is used as a resolve source — written to a temporary
@@ -8,8 +9,25 @@ fit". Both :class:`~repro.checker.breadth_first.BreadthFirstChecker` and
 file through the block-cached :class:`CountsReader` here; the writers
 share :func:`new_counts_file` / :func:`write_count_range`.
 
-Layout: one little-endian ``uint64`` per learned clause ID, densely
-packed from ``first_learned`` (= num_original + 1) upward.
+Counts layout: one little-endian ``uint64`` per learned clause ID,
+densely packed from ``first_learned`` (= num_original + 1) upward.
+
+When the counting pass decodes a binary trace, it also writes every
+record it decodes to a *spool* (:class:`SpoolWriter`), and the checking
+pass replays the spool (:func:`iter_spool`) instead of decoding the
+trace's varints a second time. Spool layout: a sequence of blocks, each
+one native ``int64`` entry count followed by that many entries. The
+entries spell the trace's records in stream order, every record kept,
+each as its binary trace tag followed by its fields:
+
+    learned         tag, cid, n, source_1 ... source_n
+    header          tag, num_vars, num_original_clauses
+    level zero      tag, 2 * var + value, antecedent
+    final conflict  tag, cid
+    deletion        tag, cid
+    result          tag
+
+A block holds whole records only, so a reader keeps one block resident.
 """
 
 from __future__ import annotations
@@ -18,21 +36,43 @@ import os
 import struct
 import tempfile
 from array import array
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager, nullcontext
 from typing import BinaryIO, Callable, Iterator, Sequence
 
 from repro.checker.errors import CheckFailure, FailureKind
 
+# Spool entries reuse the binary trace's record tags.
+from repro.trace.binary_format import (
+    _RESULT_TAGS,
+    _TAG_DELETION,
+    _TAG_FINAL_CONFLICT,
+    _TAG_HEADER,
+    _TAG_LEARNED,
+    _TAG_LEVEL_ZERO,
+)
+from repro.trace.records import (
+    ClauseDeletion,
+    FinalConflict,
+    LevelZeroAssignment,
+    TraceHeader,
+    TraceRecord,
+    TraceResult,
+)
+
 COUNT_FORMAT = "<Q"
 COUNT_SIZE = struct.calcsize(COUNT_FORMAT)
 COUNT_BLOCK = 1024  # count entries per cached read block
+
+SPOOL_FORMAT = "q"  # array typecode of one spool entry: int64
+SPOOL_BLOCK = 1 << 12  # entries per spool block, rounded up to a record
+_RESULT_STATUS = {tag: status for status, tag in _RESULT_TAGS.items()}
 
 
 @contextmanager
 def new_counts_file(
     tmp_dir: str | None = None, prefix: str = "bfcheck-counts-"
 ) -> Iterator[tuple[str, BinaryIO]]:
-    """Yield ``(path, writable handle)`` for a fresh counts temp file.
+    """Yield ``(path, writable handle)`` for a fresh temp file.
 
     The file is unlinked if the body raises — the caller owns (and must
     eventually unlink) the path only on success.
@@ -95,3 +135,105 @@ class CountsReader:
                 cid=cid,
             )
         return cached[index]
+
+
+class SpoolWriter:
+    """Collects a scanner's decoded records and writes them as spool blocks.
+
+    The scanner appends each record's entries to :attr:`entries` and, at a
+    record boundary, calls :meth:`flush` once they reach
+    :attr:`block_size`, and once more at the end of the trace. A value
+    outside int64 (only a corrupt trace holds one) cannot be spooled: the
+    writer then sets :attr:`overflowed` and writes nothing more, and the
+    checking pass decodes the trace instead.
+    """
+
+    __slots__ = ("entries", "block_size", "overflowed", "path", "_handle")
+
+    def __init__(self, handle: BinaryIO):
+        self.entries: list[int] = []
+        self.block_size = SPOOL_BLOCK
+        self.overflowed = False
+        self.path: str | None = None  # set by new_spool once the spool is whole
+        self._handle = handle
+
+    def flush(self) -> None:
+        """Write the collected entries as one block and start the next."""
+        entries = self.entries
+        if entries and not self.overflowed:
+            block = array(SPOOL_FORMAT, (len(entries),))
+            try:
+                block.fromlist(entries)
+            except OverflowError:
+                self.overflowed = True
+            else:
+                block.tofile(self._handle)
+        # Cleared in place: the scanner holds bound methods of this list.
+        entries.clear()
+
+
+@contextmanager
+def new_spool(
+    tmp_dir: str | None = None, prefix: str = "spool-"
+) -> Iterator[SpoolWriter]:
+    """Yield a :class:`SpoolWriter` on a fresh temp file.
+
+    Afterwards ``spool.path`` names the finished spool, which the caller
+    must eventually unlink, or is ``None`` when the spool overflowed (its
+    file is gone already). The file is unlinked if the body raises.
+    """
+    with new_counts_file(tmp_dir, prefix) as (path, handle):
+        spool = SpoolWriter(handle)
+        yield spool
+    if spool.overflowed:
+        os.unlink(path)
+    else:
+        spool.path = path
+
+
+def open_spool(path: str | None) -> AbstractContextManager[BinaryIO | None]:
+    """Open a finished spool for replay; without one, yield ``None``."""
+    return open(path, "rb") if path is not None else nullcontext()
+
+
+def iter_spool(handle: BinaryIO) -> Iterator[TraceRecord | tuple[int, list[int]]]:
+    """Replay a spool's records in stream order, one block resident at a time.
+
+    Learned clauses come back as bare ``(cid, sources)`` tuples and every
+    other record as its record object: the stream
+    :func:`~repro.trace.binary_format.iter_binary_records_raw` decodes
+    from the trace itself.
+    """
+    while True:
+        size = array(SPOOL_FORMAT)
+        try:
+            size.fromfile(handle, 1)
+        except EOFError:
+            return
+        block = array(SPOOL_FORMAT)
+        block.fromfile(handle, size[0])
+        entries = block.tolist()
+        pos = 0
+        end = len(entries)
+        while pos < end:
+            tag = entries[pos]
+            if tag == _TAG_LEARNED:
+                start = pos + 3
+                pos = start + entries[pos + 2]
+                yield entries[start - 2], entries[start:pos]
+            elif tag == _TAG_LEVEL_ZERO:
+                packed = entries[pos + 1]
+                yield LevelZeroAssignment(packed >> 1, bool(packed & 1), entries[pos + 2])
+                pos += 3
+            elif tag == _TAG_FINAL_CONFLICT:
+                yield FinalConflict(entries[pos + 1])
+                pos += 2
+            elif tag == _TAG_HEADER:
+                yield TraceHeader(entries[pos + 1], entries[pos + 2])
+                pos += 3
+            elif tag == _TAG_DELETION:
+                yield ClauseDeletion(entries[pos + 1])
+                pos += 2
+            else:
+                yield TraceResult(_RESULT_STATUS[tag])
+                pos += 1

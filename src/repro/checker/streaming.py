@@ -6,20 +6,23 @@ verified inside a bounded window that slides over the proof: at any
 moment only the clauses the remaining proof still references need to be
 resident. This checker is that idea on top of the repo's BF machinery:
 
-* **Zero-copy decoding.** A binary trace is ``mmap``'d
-  (:class:`~repro.trace.binary_format.MappedBinaryTrace`) and decoded in
-  ``window_records``-sized batches straight off the mapping
-  (:func:`~repro.trace.binary_format.decode_mapped_batch`) — the full
-  :class:`~repro.trace.records.Trace` is never materialized, so decoding
-  memory is one batch, regardless of trace size. ASCII traces and
-  in-memory ``Trace`` objects stream through the generic record path in
-  the same batches.
+* **Zero-copy decoding, once.** A binary trace is ``mmap``'d
+  (:class:`~repro.trace.binary_format.MappedBinaryTrace`) and decoded
+  straight off the mapping by the counting pass
+  (:func:`~repro.trace.binary_format.scan_mapped_learned`), which spools
+  every record it decodes (:mod:`repro.checker.counts`); the checking
+  pass replays the spool in ``window_records``-sized batches. A run under
+  a prune plan has no counting pass and decodes its batches off the
+  mapping (:func:`~repro.trace.binary_format.decode_mapped_batch`). The
+  full :class:`~repro.trace.records.Trace` is never materialized, so
+  decoding memory is one batch or spool block, regardless of trace size.
+  ASCII traces and in-memory ``Trace`` objects stream through the
+  generic record path in the same batches.
 * **Counting pre-pass.** Like BF, a first streaming pass writes each
   learned clause's total use count to a temp file
-  (:mod:`repro.checker.counts`). The mmap pass
-  (:func:`~repro.trace.binary_format.scan_mapped_learned`) additionally
-  records each clause's *last use* — the stream position of its final
-  reference — which orders the window's retirement decisions.
+  (:mod:`repro.checker.counts`). The mmap pass additionally records each
+  clause's *last use* — the stream position of its final reference —
+  which orders the window's retirement decisions.
 * **Originals are read from the formula.** The checker holds only the
   clauses the trace defines: learned clauses. An original clause is the
   caller's :class:`~repro.cnf.CnfFormula` entry, handed to the kernel as
@@ -50,9 +53,16 @@ from array import array
 from heapq import heappop, heappush
 from itertools import islice
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, BinaryIO, Iterable, Iterator, Sequence
 
-from repro.checker.counts import CountsReader, new_counts_file, write_count_range
+from repro.checker.counts import (
+    CountsReader,
+    iter_spool,
+    new_counts_file,
+    new_spool,
+    open_spool,
+    write_count_range,
+)
 from repro.checker.errors import CheckFailure, FailureKind
 from repro.checker.kernel import ClauseLits, engine_memory_stats, make_engine
 from repro.checker.level_zero import LevelZeroState, derive_empty_clause
@@ -141,6 +151,7 @@ class StreamingWindowChecker:
         self.spills = 0
         self.reloads = 0
         self._mapped: MappedBinaryTrace | None = None
+        self._spool_path: str | None = None  # the counting pass's record spool
 
     # -- public API ----------------------------------------------------------
 
@@ -159,10 +170,12 @@ class StreamingWindowChecker:
                 self.precheck_report = run_precheck(self._source)
             self._open_mapping()
             max_cid, counts_path = self._counting_pass()
-            with open(counts_path, "rb") as counts_file:
+            with open(counts_path, "rb") as counts_file, open_spool(
+                self._spool_path
+            ) as spool:
                 assert self._num_original is not None
                 counts = CountsReader(counts_file, self._num_original + 1)
-                verified = self._checking_pass(counts)
+                verified = self._checking_pass(counts, spool)
         except CheckFailure as exc:
             failure = exc
         except TraceError as exc:
@@ -170,6 +183,9 @@ class StreamingWindowChecker:
         finally:
             if counts_path is not None:
                 os.unlink(counts_path)
+            if self._spool_path is not None:
+                os.unlink(self._spool_path)
+                self._spool_path = None
             self._close_spill()
             if self._mapped is not None:
                 self._mapped.close()
@@ -207,15 +223,17 @@ class StreamingWindowChecker:
             return self._source.records()
         return iter_trace_records(self._source)
 
-    def _batches(self) -> Iterator[list]:
-        """The trace as ``window_records``-sized batches — one decode pass.
+    def _batches(self, spool: BinaryIO | None) -> Iterator[list]:
+        """The trace as ``window_records``-sized batches.
 
-        Mapped sources decode straight off the mmap view (learned records
-        as bare ``(cid, sources)`` tuples); everything else batches the
-        generic record stream. Either way only one batch is ever held.
+        A spool replays the records the counting pass decoded; a mapped
+        source without one (a prune plan replaced the counting pass)
+        decodes straight off the mmap view. Both yield learned records as
+        bare ``(cid, sources)`` tuples. Everything else batches the generic
+        record stream. Either way only one batch is ever held.
         """
         size = self._window.window_records
-        if self._mapped is not None:
+        if spool is None and self._mapped is not None:
             view = self._mapped.view
             pos = self._mapped.payload_start
             while True:
@@ -224,7 +242,7 @@ class StreamingWindowChecker:
                     return
                 yield items
         else:
-            records = self._records()
+            records = iter_spool(spool) if spool is not None else self._records()
             while True:
                 batch = list(islice(records, size))
                 if not batch:
@@ -283,36 +301,32 @@ class StreamingWindowChecker:
     def _mapped_counts(self) -> tuple[int, str]:
         assert self._mapped is not None
         view = self._mapped.view
-        if self._chunk_size is None:
+        chunked = self._chunk_size is not None
+        # Chunked counting (the paper's multi-pass mode) counts nothing on
+        # this first pass (an empty count range), then makes one pass per
+        # clause-ID chunk. Last uses are not collected then — they would
+        # need the full range in one pass — so eviction falls back to
+        # oldest-first. Either way this pass spools every record.
+        with new_spool(self._tmp_dir, prefix="stream-spool-") as spool:
             headers, max_cid, num_learned, counts, last_use = scan_mapped_learned(
-                view, track_last_use=True
+                view,
+                count_range=(0, 0) if chunked else None,
+                track_last_use=not chunked,
+                spool=spool,
             )
-            max_cid = self._validate_headers(headers, max_cid)
-            self._total_learned = num_learned
-            self._last_use = last_use
-            with new_counts_file(self._tmp_dir, prefix="stream-counts-") as (
-                path,
-                handle,
-            ):
-                write_count_range(
-                    handle, self._num_original + 1, max_cid + 1, counts.get
-                )
-            return max_cid, path
-        # Chunked counting (the paper's multi-pass mode): an extent pass
-        # with an empty count range, then one pass per clause-ID chunk.
-        # Last uses are not collected — they would need the full range in
-        # one pass — so eviction falls back to oldest-first.
-        headers, max_cid, num_learned, _counts, _ = scan_mapped_learned(
-            view, count_range=(0, 0)
-        )
+        self._spool_path = spool.path
         max_cid = self._validate_headers(headers, max_cid)
         self._total_learned = num_learned
+        self._last_use = last_use
         first_learned = self._num_original + 1
         with new_counts_file(self._tmp_dir, prefix="stream-counts-") as (path, handle):
-            for low in range(first_learned, max_cid + 1, self._chunk_size):
-                high = min(low + self._chunk_size, max_cid + 1)
-                _, _, _, counts, _ = scan_mapped_learned(view, count_range=(low, high))
-                write_count_range(handle, low, high, counts.get)
+            if not chunked:
+                write_count_range(handle, first_learned, max_cid + 1, counts.get)
+            else:
+                for low in range(first_learned, max_cid + 1, self._chunk_size):
+                    high = min(low + self._chunk_size, max_cid + 1)
+                    _, _, _, counts, _ = scan_mapped_learned(view, count_range=(low, high))
+                    write_count_range(handle, low, high, counts.get)
         return max_cid, path
 
     def _generic_counts(self) -> tuple[int, str]:
@@ -537,7 +551,7 @@ class StreamingWindowChecker:
         heappush(self._evict_heap, (-self._last_use.get(cid, -cid), cid))
         self._enforce_budget()
 
-    def _checking_pass(self, counts: CountsReader) -> bool:
+    def _checking_pass(self, counts: CountsReader, spool: BinaryIO | None) -> bool:
         assert self._num_original is not None
         level_zero_entries: list[LevelZeroAssignment] = []
         final_conflicts: list[int] = []
@@ -546,7 +560,7 @@ class StreamingWindowChecker:
         deadline = self._deadline
         skip = self._plan.skip if self._plan is not None else None
         window = self._window
-        for batch in self._batches():
+        for batch in self._batches(spool):
             if deadline is not None:
                 deadline.check()
             built_before = self._clauses_built

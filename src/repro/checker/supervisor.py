@@ -216,7 +216,7 @@ class CheckSupervisor:
 
     def check(self) -> CheckReport:
         config = self.config
-        ladder = self._resolve_ladder(config.policy.ladder(config.method))
+        ladder = self.ladder()
         report: CheckReport | None = None
         start = time.perf_counter()
         for rung, method in enumerate(ladder):
@@ -237,6 +237,10 @@ class CheckSupervisor:
         return report
 
     # -- ladder shaping -------------------------------------------------------
+
+    def ladder(self) -> tuple[str, ...]:
+        """The methods this check may run, in the order it tries them."""
+        return self._resolve_ladder(self.config.policy.ladder(self.config.method))
 
     def _streaming_eligible(self) -> bool:
         """Is the source a trace file big enough for the streaming tier?"""

@@ -127,8 +127,9 @@ def _resolve_proof_source(parser, method: str, proof_format: str, proof_path: st
     (overriding the default ``df``); ``trace`` pins the resolution-trace
     pipeline. ``auto`` sniffs the file: RTB1 magic or trace keywords mean
     a resolution trace, anything else a clausal proof — but an explicit
-    trace method other than the default is never second-guessed.
-    Returns ``(method, resolved_format)``.
+    trace method other than the default is never second-guessed. A file
+    ``auto`` cannot read stays with the default method, whose check then
+    fails on it. Returns ``(method, resolved_format)``.
     """
     if proof_format == "trace":
         if method in ("rup", "drat"):
@@ -152,11 +153,20 @@ def _resolve_proof_source(parser, method: str, proof_format: str, proof_path: st
 
     try:
         detected = detect_source_format(proof_path)
-    except OSError as exc:
-        parser.error(f"cannot read proof file: {exc}")
+    except OSError:
+        return method, "trace"
     if detected == "trace":
         return method, "trace"
     return "drat", "drat"
+
+
+def _method_origin(args, method: str, proof_format: str) -> str:
+    """Name what chose ``method``: the flag the user gave, or auto-detection."""
+    if method == args.method:
+        return f"--method {method}"
+    if args.proof_format != "auto":
+        return f"--proof-format {args.proof_format}"
+    return f"the detected proof format {proof_format}"
 
 
 def _add_check_flags(parser) -> None:
@@ -274,7 +284,9 @@ def _check_options(parser, args, default_policy=None, stream=False) -> dict:
         )
     if stream:
         if method not in ("df", "streaming"):
-            parser.error(f"--stream conflicts with --method {method}")
+            parser.error(
+                f"--stream conflicts with {_method_origin(args, method, proof_format)}"
+            )
         method = "streaming"
     policy = args.policy or default_policy
     if (
@@ -286,8 +298,8 @@ def _check_options(parser, args, default_policy=None, stream=False) -> dict:
         # still land on the streaming tier for big traces.
         parser.error(
             "--memory-window/--window-records apply to the streaming "
-            "checker (--stream, or --policy fallback whose ladder can "
-            "reach it)"
+            "checker (--method streaming, or --policy fallback whose "
+            "ladder can reach it)"
         )
     options: dict = {"method": method}
     if method == "drat":
@@ -417,6 +429,10 @@ def check_main(argv: list[str] | None = None) -> int:
             "it needs --policy fallback"
         )
     if args.resume:
+        method = options["method"]
+        if method not in ("df", "bf"):
+            origin = _method_origin(args, method, options.get("proof_format"))
+            parser.error(f"--resume restarts breadth-first checks only; not {origin}")
         options["method"] = "bf"
     if args.refresh and not args.cache:
         parser.error("--refresh only applies with --cache DIR")

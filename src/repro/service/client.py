@@ -164,7 +164,12 @@ class ServiceClient:
             formula = parse_dimacs_file(formula)
 
         started = time.perf_counter()
-        fingerprint = self.fingerprint(formula, trace_source, options)
+        try:
+            fingerprint = self.fingerprint(formula, trace_source, options)
+        except OSError:
+            # An unreadable input has no content to key a verdict by: check
+            # it uncached, so that it fails as a check instead of raising.
+            return supervised_check(formula, trace_source, **options)
 
         cached = self.cache_lookup(fingerprint)
         if cached is not None:

@@ -32,7 +32,7 @@ from collections import OrderedDict
 from multiprocessing import connection
 
 from repro import faults
-from repro.checker.supervisor import supervised_check
+from repro.checker.supervisor import CheckSupervisor, supervised_check
 from repro.cnf import parse_dimacs_file
 from repro.service.metrics import MetricsRegistry
 from repro.trace.io import load_trace
@@ -59,6 +59,13 @@ FP_RESULT_COLLECT = faults.register_fault_point(
     doc="in the parent collector, after a result is read off the pipe and "
         "before it is applied (key = job id)",
 )
+
+#: Methods that check a decoded trace as well as its file, so the warm cache
+#: can serve them. The clausal checkers stream their proofs from disk (mmap
+#: for binary DRAT), and the streaming checker maps its trace instead of
+#: holding it: a job whose ladder reaches any of them gets the file.
+_WARM_METHODS = frozenset({"df", "hybrid", "bf"})
+
 
 class _WarmCache:
     """Per-worker LRU of decoded artifacts, keyed by content fingerprint."""
@@ -114,16 +121,13 @@ def _execute_task(task: dict, warm: _WarmCache) -> dict:
         fingerprint = task.get("fingerprint") or None
         shas = fingerprint or {}
         formula = warm.formula(shas.get("formula_sha256"), task["formula"], stats)
-        if task["options"].get("method") in ("rup", "drat"):
-            # Clausal proofs are streamed from disk by their checkers
-            # (mmap for binary DRAT); decoding them as a resolution trace
-            # would be wasted work at best.
-            trace = task["trace"]
-        else:
-            trace = warm.trace(shas.get("trace_sha256"), task["trace"], stats)
-        report = supervised_check(
-            formula, trace, fingerprint=fingerprint, **task["options"]
-        )
+        options = task["options"]
+        trace = task["trace"]
+        # Asked of the file: a fallback ladder ends in the streaming checker
+        # only for a trace file past the supervisor's size threshold.
+        if _WARM_METHODS.issuperset(CheckSupervisor(formula, trace, **options).ladder()):
+            trace = warm.trace(shas.get("trace_sha256"), trace, stats)
+        report = supervised_check(formula, trace, fingerprint=fingerprint, **options)
         return {
             "job_id": task["job_id"],
             "ok": True,

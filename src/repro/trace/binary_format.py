@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import mmap
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Callable, Iterator
 
 from repro.trace.records import (
     ClauseDeletion,
@@ -256,8 +256,28 @@ def _decode_batched(
                 pos = 0
 
 
+def _spool_sink(spool) -> tuple[list[int], Callable[[], None], int]:
+    """``(entries, flush, block_size)`` of a scanner's spool.
+
+    Without a spool the entries are cleared at every record boundary: the
+    chunked scanner still reads a torn record's committed sources there.
+    """
+    if spool is None:
+        entries: list[int] = []
+        return entries, entries.clear, 0
+    return spool.entries, spool.flush, spool.block_size
+
+
+def _read(handle: IO[bytes], path: str | Path, size: int) -> bytes:
+    """Read from a trace file; a read error is a :class:`TraceError`."""
+    try:
+        return handle.read(size)
+    except OSError as exc:
+        raise TraceError(f"{path}: {exc}") from None
+
+
 def scan_binary_learned(
-    path: str | Path, chunk_size: int = DEFAULT_CHUNK_SIZE
+    path: str | Path, chunk_size: int = DEFAULT_CHUNK_SIZE, spool=None
 ) -> tuple[list[tuple[int, int]], int, int, dict[int, int]]:
     """One low-level pass over a binary trace: extent plus source-use counts.
 
@@ -271,30 +291,45 @@ def scan_binary_learned(
     referenced (learned-clause sources, level-zero antecedents and final
     conflicts — the same references the checker's counting pass charges).
 
-    Raises :class:`TraceError` on a malformed or torn trace, exactly like
-    the record decoders.
+    With ``spool`` (a :class:`~repro.checker.counts.SpoolWriter`) every
+    decoded record is also appended to the spool, so the checking pass
+    can replay it instead of decoding the trace again.
+
+    Raises :class:`TraceError` on a malformed, torn or unreadable trace,
+    like the record decoders; a read error's message names the path.
     """
     headers: list[tuple[int, int]] = []
     max_cid = 0
     num_learned = 0
     counts: dict[int, int] = {}
     counts_get = counts.get
-    with open(path, "rb") as handle:
-        if handle.read(len(MAGIC)) != MAGIC:
+    entries, flush, block_size = _spool_sink(spool)
+    put = entries.append
+    extend = entries.extend
+    try:
+        handle = open(path, "rb")
+    except OSError as exc:
+        raise TraceError(f"{path}: {exc}") from None
+    with handle:
+        if _read(handle, path, len(MAGIC)) != MAGIC:
             raise TraceError(f"{path}: not a binary trace (bad magic)")
-        buffer = handle.read(chunk_size)
+        buffer = _read(handle, path, chunk_size)
         pos = 0
         exhausted = not buffer
         while True:
             if pos >= len(buffer):
                 if exhausted:
-                    return headers, max_cid, num_learned, counts
-                buffer = handle.read(chunk_size)
+                    break
+                buffer = _read(handle, path, chunk_size)
                 pos = 0
                 if not buffer:
-                    return headers, max_cid, num_learned, counts
+                    break
                 exhausted = len(buffer) < chunk_size
             record_start = pos
+            mark = len(entries)
+            if mark >= block_size:
+                flush()
+                mark = 0
             try:
                 tag = buffer[pos]
                 pos += 1
@@ -327,6 +362,7 @@ def scan_binary_learned(
                             shift += 7
                             if shift > 63:
                                 raise TraceError("varint too long")
+                    extend((tag, cid, count))
                     for _ in range(count):
                         delta = buffer[pos]
                         pos += 1
@@ -344,6 +380,7 @@ def scan_binary_learned(
                                     raise TraceError("varint too long")
                         src = cid - delta
                         counts[src] = counts_get(src, 0) + 1
+                        put(src)
                     num_learned += 1
                     if cid > max_cid:
                         max_cid = cid
@@ -351,52 +388,47 @@ def scan_binary_learned(
                     num_vars, pos = _varint_at(buffer, pos)
                     num_clauses, pos = _varint_at(buffer, pos)
                     headers.append((num_vars, num_clauses))
+                    extend((tag, num_vars, num_clauses))
                 elif tag == _TAG_LEVEL_ZERO:
-                    _, pos = _varint_at(buffer, pos)
+                    packed, pos = _varint_at(buffer, pos)
                     antecedent, pos = _varint_at(buffer, pos)
                     counts[antecedent] = counts_get(antecedent, 0) + 1
+                    extend((tag, packed, antecedent))
                 elif tag == _TAG_FINAL_CONFLICT:
                     cid, pos = _varint_at(buffer, pos)
                     counts[cid] = counts_get(cid, 0) + 1
+                    extend((tag, cid))
                 elif tag == _TAG_DELETION:
                     # Advisory only: deletions never contribute use counts.
-                    _, pos = _varint_at(buffer, pos)
+                    cid, pos = _varint_at(buffer, pos)
+                    extend((tag, cid))
                 elif tag in (_TAG_RESULT_SAT, _TAG_RESULT_UNSAT, _TAG_RESULT_UNKNOWN):
-                    pass
+                    put(tag)
                 else:
                     raise TraceError(f"unknown binary record tag {tag:#x}")
             except IndexError:
                 if exhausted:
                     raise TraceError("unexpected end of binary trace") from None
-                tail = handle.read(chunk_size)
+                tail = _read(handle, path, chunk_size)
                 if not tail:
                     raise TraceError("unexpected end of binary trace") from None
                 # The torn record is about to be re-parsed from scratch, so
-                # any sources the learned-clause branch already counted
-                # must be rolled back first. Mirroring the forward parse
-                # over the same (truncated) bytes decrements exactly the
-                # deltas that decoded completely before the tear. Tears
-                # happen at most once per chunk, so this stays off the
-                # hot path; only the learned branch has mid-record side
-                # effects (the other branches commit after a full parse).
-                if buffer[record_start] == _TAG_LEARNED:
-                    try:
-                        rpos = record_start + 1
-                        rcid, rpos = _varint_at(buffer, rpos)
-                        rcount, rpos = _varint_at(buffer, rpos)
-                        for _ in range(rcount):
-                            delta, rpos = _varint_at(buffer, rpos)
-                            torn_src = rcid - delta
-                            remaining = counts[torn_src] - 1
-                            if remaining:
-                                counts[torn_src] = remaining
-                            else:
-                                del counts[torn_src]
-                    except IndexError:
-                        pass
+                # what its prefix committed must be rolled back first. Only
+                # the learned branch commits mid-record: its tag, cid and
+                # count entries, then each source it counted. Tears happen
+                # at most once per chunk, so this stays off the hot path.
+                for torn_src in entries[mark + 3 :]:
+                    remaining = counts[torn_src] - 1
+                    if remaining:
+                        counts[torn_src] = remaining
+                    else:
+                        del counts[torn_src]
+                del entries[mark:]
                 exhausted = len(tail) < chunk_size
                 buffer = buffer[record_start:] + tail
                 pos = 0
+    flush()
+    return headers, max_cid, num_learned, counts
 
 
 def iter_binary_records_raw(
@@ -613,6 +645,7 @@ def scan_mapped_learned(
     view: memoryview,
     count_range: tuple[int, int] | None = None,
     track_last_use: bool = False,
+    spool=None,
 ) -> tuple[list[tuple[int, int]], int, int, dict[int, int], dict[int, int]]:
     """Extent + use counts in one zero-copy pass over a mapped trace.
 
@@ -625,7 +658,9 @@ def scan_mapped_learned(
     (the chunked-counting mode). ``last_use`` maps each referenced clause
     ID to the stream position (a running record ordinal) of its *last*
     reference — the retirement signal the shifting-window checker orders
-    its evictions by; empty unless ``track_last_use``.
+    its evictions by; empty unless ``track_last_use``. ``spool`` is a
+    :class:`~repro.checker.counts.SpoolWriter` that receives every
+    decoded record, as in :func:`scan_binary_learned`.
     """
     headers: list[tuple[int, int]] = []
     max_cid = 0
@@ -634,11 +669,16 @@ def scan_mapped_learned(
     counts_get = counts.get
     last_use: dict[int, int] = {}
     low, high = count_range if count_range is not None else (0, 1 << 62)
+    entries, flush, block_size = _spool_sink(spool)
+    put = entries.append
+    extend = entries.extend
     pos = len(MAGIC)
     end = len(view)
     position = 0  # running record ordinal, the last_use clock
     try:
         while pos < end:
+            if len(entries) >= block_size:
+                flush()
             tag = view[pos]
             pos += 1
             position += 1
@@ -671,6 +711,7 @@ def scan_mapped_learned(
                         shift += 7
                         if shift > 63:
                             raise TraceError("varint too long")
+                extend((tag, cid, count))
                 for _ in range(count):
                     delta = view[pos]
                     pos += 1
@@ -691,6 +732,7 @@ def scan_mapped_learned(
                         counts[src] = counts_get(src, 0) + 1
                     if track_last_use:
                         last_use[src] = position
+                    put(src)
                 num_learned += 1
                 if cid > max_cid:
                     max_cid = cid
@@ -698,26 +740,31 @@ def scan_mapped_learned(
                 num_vars, pos = _varint_at(view, pos)
                 num_clauses, pos = _varint_at(view, pos)
                 headers.append((num_vars, num_clauses))
+                extend((tag, num_vars, num_clauses))
             elif tag == _TAG_LEVEL_ZERO:
-                _, pos = _varint_at(view, pos)
+                packed, pos = _varint_at(view, pos)
                 antecedent, pos = _varint_at(view, pos)
                 if low <= antecedent < high:
                     counts[antecedent] = counts_get(antecedent, 0) + 1
                 if track_last_use:
                     last_use[antecedent] = position
+                extend((tag, packed, antecedent))
             elif tag == _TAG_FINAL_CONFLICT:
                 cid, pos = _varint_at(view, pos)
                 if low <= cid < high:
                     counts[cid] = counts_get(cid, 0) + 1
                 if track_last_use:
                     last_use[cid] = position
+                extend((tag, cid))
             elif tag == _TAG_DELETION:
                 # Advisory only: deletions never contribute use counts.
-                _, pos = _varint_at(view, pos)
+                cid, pos = _varint_at(view, pos)
+                extend((tag, cid))
             elif tag in (_TAG_RESULT_SAT, _TAG_RESULT_UNSAT, _TAG_RESULT_UNKNOWN):
-                pass
+                put(tag)
             else:
                 raise TraceError(f"unknown binary record tag {tag:#x}")
     except IndexError:
         raise TraceError("unexpected end of binary trace") from None
+    flush()
     return headers, max_cid, num_learned, counts, last_use

@@ -15,9 +15,13 @@ Each test pins one historical bug:
   from the BF and hybrid checkers and from the supervisor's DF loader,
   and from the static precheck of BF, hybrid and streaming.
 * an unreadable proof path escaped the RUP and DRAT checkers the same way.
+* a read error partway through a trace escaped the BF checker as an
+  ``OSError``: only opening the trace was converted.
 """
 
 from __future__ import annotations
+
+import errno
 
 import pytest
 
@@ -246,3 +250,98 @@ def test_unreadable_proof_path_is_a_malformed_proof(
     assert not report.verified
     assert report.failure.kind is FailureKind.MALFORMED_PROOF
     assert report.failure.message.startswith(f"{path}: ")
+
+
+# -- bug 7: a read error partway through a trace must not escape BF ----------
+
+
+class _FailingReads:
+    """A file whose reads fail after ``good`` successful ones."""
+
+    def __init__(self, handle, good: int):
+        self._handle = handle
+        self._good = good
+
+    def _next_read(self) -> None:
+        if self._good == 0:
+            raise OSError(errno.EIO, "Input/output error")
+        self._good -= 1
+
+    def read(self, *args):
+        self._next_read()
+        return self._handle.read(*args)
+
+    def __iter__(self):
+        for line in self._handle:
+            self._next_read()
+            yield line
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._handle.close()
+
+
+def _solved_trace(tmp_path, fmt: str):
+    from repro.solver import Solver, SolverConfig
+    from repro.trace import AsciiTraceWriter
+
+    from tests.conftest import pigeonhole
+
+    formula = pigeonhole(5, 4)
+    path = tmp_path / ("php.rtb" if fmt == "binary" else "php.trace")
+    writer = BinaryTraceWriter(path) if fmt == "binary" else AsciiTraceWriter(path)
+    assert Solver(formula, SolverConfig(seed=0), trace_writer=writer).solve().is_unsat
+    writer.close()
+    return formula, str(path)
+
+
+@pytest.mark.parametrize(
+    "fmt,options,good",
+    [
+        ("binary", {}, 1),  # the fused scan's first chunk read
+        ("binary", {"count_chunk_size": 7}, 1),  # the generic record passes
+        ("binary", {"prune": True}, 1),  # the pruned checking pass
+        ("ascii", {}, 40),
+        ("ascii", {"prune": True}, 40),
+    ],
+    ids=["binary-scan", "binary-chunked", "binary-pruned", "ascii", "ascii-pruned"],
+)
+def test_a_read_error_mid_trace_is_a_malformed_trace(tmp_path, monkeypatch, fmt, options, good):
+    import builtins
+
+    from repro.analysis.graph import compute_prune_plan
+    from repro.trace import ascii_format, binary_format
+
+    formula, path = _solved_trace(tmp_path, fmt)
+    if options.pop("prune", False):
+        options["prune_plan"] = compute_prune_plan(path)
+        assert options["prune_plan"] is not None
+    module = binary_format if fmt == "binary" else ascii_format
+    monkeypatch.setattr(
+        module,
+        "open",
+        lambda *args, **kwargs: _FailingReads(builtins.open(*args, **kwargs), good),
+        raising=False,
+    )
+    report = BreadthFirstChecker(formula, path, **options).check()  # must not raise
+    assert report.failure.kind is FailureKind.MALFORMED_TRACE
+    assert report.failure.message == f"{path}: [Errno {errno.EIO}] Input/output error"
+
+
+def test_counts_and_checkpoint_file_errors_keep_their_class(tmp_path):
+    from repro import faults
+
+    formula, path = _solved_trace(tmp_path, "binary")
+    with pytest.raises(FileNotFoundError):
+        BreadthFirstChecker(formula, path, tmp_dir=tmp_path / "absent").check()
+    faults.install_plan("point=checkpoint.write,kind=enospc")
+    try:
+        with pytest.raises(OSError) as excinfo:
+            BreadthFirstChecker(
+                formula, path, checkpoint_path=str(tmp_path / "ckpt"), checkpoint_every=1
+            ).check()
+    finally:
+        faults.reset()
+    assert excinfo.value.errno == errno.ENOSPC

@@ -7,12 +7,13 @@ import time
 
 import pytest
 
+from repro.checker.supervisor import CheckSupervisor
 from repro.faults import PLAN_ENV
 from repro.service.cache import VerdictCache
 from repro.service.client import ServiceClient
 from repro.service.daemon import read_queue_status, spool_layout, submit_job
 from repro.service.jobs import JobState, JobStore, ShardedJobStore, shard_of
-from repro.service.pool import WorkerPool
+from repro.service.pool import WorkerPool, _execute_task, _WarmCache
 from repro.service.scheduler import Scheduler
 
 
@@ -249,3 +250,52 @@ def test_single_shard_store_keeps_classic_journal(tmp_path):
     events = [json.loads(line) for line in
               (tmp_path / "journal.jsonl").read_text().splitlines()]
     assert events[0]["event"] == "submit"
+
+
+# -- which jobs get the trace file -----------------------------------------------
+
+
+def _streaming_threshold_zero(monkeypatch):
+    """Every trace *file* counts as past the streaming threshold (64 MiB by
+    default); a decoded trace never does."""
+    eligible = CheckSupervisor._streaming_eligible
+
+    def past_threshold(self):
+        self.config.streaming_threshold_bytes = 0
+        return eligible(self)
+
+    monkeypatch.setattr(CheckSupervisor, "_streaming_eligible", past_threshold)
+
+
+def _run_task(cnf, trace, options) -> dict:
+    result = _execute_task(
+        {"job_id": "j", "formula": cnf, "trace": trace, "options": options}, _WarmCache()
+    )
+    assert result["ok"], result
+    return result
+
+
+def test_streaming_jobs_check_the_trace_file(artifacts):
+    """The constant-memory checker maps the file; the worker loads nothing."""
+    _, cnf, _, binary_path = artifacts
+    result = _run_task(cnf, binary_path, {"method": "streaming", "memory_window": 64})
+    assert result["report"]["verified"] is True
+    assert result["report"]["memory"]["spilled_clauses"] > 0
+    assert "trace_misses" not in result["stats"]
+
+
+def test_fallback_jobs_past_the_threshold_reach_the_streaming_rung(artifacts, monkeypatch):
+    _, cnf, _, binary_path = artifacts
+    _streaming_threshold_zero(monkeypatch)
+    result = _run_task(cnf, binary_path, {"method": "bf", "memory_limit": 60})
+    report = result["report"]
+    assert [attempt["method"] for attempt in report["degradation"]] == [
+        "breadth-first", "streaming"
+    ]
+    assert report["degradation"][0]["outcome"] == "memory-out"
+    assert report["verified"] is True
+    assert "trace_misses" not in result["stats"]
+    # A strict job never reaches the streaming rung: the warm cache serves it.
+    strict = _run_task(cnf, binary_path, {"method": "bf", "policy": "strict"})
+    assert strict["report"]["verified"] is True
+    assert strict["stats"]["trace_misses"] == 1

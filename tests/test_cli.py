@@ -306,10 +306,13 @@ def test_check_malformed_trace_is_a_failed_check(unsat_cnf, clean_trace, tmp_pat
     [
         (["--proof-format", "trace"], "malformed-trace"),
         (["--method", "rup"], "malformed-proof"),
+        ([], "malformed-trace"),  # auto detection cannot read it either
+        (["--cache", "cache"], "malformed-trace"),
     ],
 )
 def test_check_missing_input_is_a_failed_check(unsat_cnf, tmp_path, capsys, tail, kind):
     missing = tmp_path / "missing"
+    tail = [str(tmp_path / arg) if arg == "cache" else arg for arg in tail]
     assert check_main([str(unsat_cnf), str(missing), *tail]) == 1
     out = capsys.readouterr().out
     assert f"[{kind}] {missing}: " in out
@@ -342,6 +345,49 @@ def test_check_and_submit_reject_the_same_invocations(
     assert excinfo.value.code == 2
     assert message in capsys.readouterr().err
     assert not list((spool / "incoming").glob("*"))
+
+
+@pytest.mark.parametrize(
+    "tail",
+    [["--method", "drat"], [], ["--proof-format", "drup"], ["--method", "hybrid"]],
+    ids=["drat", "auto-drat", "drup", "hybrid"],
+)
+def test_check_resume_rejects_a_method_it_would_override(
+    unsat_cnf, drup_proof, tmp_path, capsys, tail
+):
+    argv = [str(unsat_cnf), str(drup_proof), "--resume", str(tmp_path / "x.ckpt"), *tail]
+    with pytest.raises(SystemExit) as excinfo:
+        check_main(argv)
+    assert excinfo.value.code == 2
+    assert "--resume restarts breadth-first checks only" in capsys.readouterr().err
+
+
+def test_check_resume_keeps_the_default_method(unsat_cnf, clean_trace, tmp_path, capsys):
+    argv = [str(unsat_cnf), str(clean_trace), "--resume", str(tmp_path / "absent.ckpt")]
+    assert check_main(argv) == 0
+    assert capsys.readouterr().out.startswith("[breadth-first] Check Succeeded")
+
+
+def test_conflict_messages_name_only_what_the_user_gave(
+    unsat_cnf, clean_trace, drup_proof, tmp_path, capsys
+):
+    with pytest.raises(SystemExit):
+        check_main([str(unsat_cnf), str(drup_proof), "--stream"])
+    message = capsys.readouterr().err.splitlines()[-1]
+    assert message.endswith("--stream conflicts with the detected proof format drat")
+    with pytest.raises(SystemExit):
+        check_main([str(unsat_cnf), str(drup_proof), "--stream", "--proof-format", "drup"])
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        "--stream conflicts with --proof-format drup"
+    )
+    with pytest.raises(SystemExit):
+        submit_main([
+            str(tmp_path / "spool"), str(unsat_cnf), str(clean_trace),
+            "--method", "bf", "--policy", "strict", "--window-records", "8",
+        ])
+    message = capsys.readouterr().err.splitlines()[-1]
+    assert "apply to the streaming checker" in message
+    assert "--stream" not in message
 
 
 def _submitted_options(spool, argv) -> dict:
