@@ -107,9 +107,7 @@ def analyze_trace(
             record = next(records)
         except StopIteration:
             break
-        except (TraceError, UnicodeDecodeError) as exc:
-            # UnicodeDecodeError: non-ASCII bytes in a file sniffed as the
-            # text format — the record stream is garbage, same as TraceError.
+        except TraceError as exc:
             MalformedRecordRule(diagnostics.append).parse_error(index, exc)
             break
         if isinstance(record, TraceHeader):

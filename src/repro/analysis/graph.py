@@ -233,7 +233,7 @@ class DerivationGraph:
                 record = next(records)
             except StopIteration:
                 break
-            except (TraceError, UnicodeDecodeError) as exc:
+            except TraceError as exc:
                 violate(f"parse error at record {index}: {exc}")
                 break
             # Learned clauses may arrive as bare (cid, sources) tuples from

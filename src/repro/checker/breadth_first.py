@@ -11,7 +11,8 @@ producing the trace.
 The counting pass can be chunked over clause-ID ranges
 (``count_chunk_size``) — the paper: "we may also need to break the first
 pass into several passes so that we can count the number of usages of the
-clauses in one range at a time."
+clauses in one range at a time." Chunked, it is an extent sweep plus one
+sweep per range; otherwise it reads the trace once.
 
 On a binary trace the (unchunked) counting pass also spools every record
 it decodes (:mod:`repro.checker.counts`), and the checking pass replays
@@ -23,7 +24,6 @@ from __future__ import annotations
 import os
 import pickle
 import time
-from array import array
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
@@ -31,15 +31,23 @@ from typing import BinaryIO, Iterator, Sequence
 
 from repro import faults
 from repro.checker.counts import (
-    COUNT_SIZE as _COUNT_SIZE,
     CountsReader,
+    count_records,
     iter_spool,
     new_counts_file,
     new_spool,
     open_spool,
+    reading,
     write_count_range,
+    write_plan_counts,
 )
-from repro.checker.errors import CheckFailure, FailureKind
+from repro.checker.errors import (
+    CheckFailure,
+    FailureKind,
+    check_headers,
+    check_sources,
+    check_unsat_claim,
+)
 from repro.checker.kernel import ClauseLits, engine_memory_stats, make_engine
 from repro.checker.level_zero import LevelZeroState, derive_empty_clause
 from repro.checker.memory import Deadline, MemoryMeter
@@ -58,7 +66,6 @@ from repro.trace.records import (
     LevelZeroAssignment,
     Trace,
     TraceError,
-    TraceHeader,
     TraceRecord,
     TraceResult,
 )
@@ -70,18 +77,6 @@ from repro.trace.records import (
 # are rejected by load_checkpoint — the resume path treats that as a
 # mismatch and falls back to a full run (never fatal).
 _CHECKPOINT_VERSION = 2
-
-
-def _reading(records: Iterator, path: str | Path) -> Iterator:
-    """Yield ``records``; a read error partway through is a :class:`TraceError`.
-
-    Wraps only the trace's record stream, so an ``OSError`` from a counts,
-    spool or checkpoint file keeps its own class.
-    """
-    try:
-        yield from records
-    except OSError as exc:
-        raise TraceError(f"{path}: {exc}") from None
 
 
 class CheckpointError(ValueError):
@@ -280,154 +275,73 @@ class BreadthFirstChecker:
     def _records(self) -> Iterator[TraceRecord]:
         if isinstance(self._source, Trace):
             return self._source.records()
-        try:
-            return _reading(iter_trace_records(self._source), self._source)
-        except OSError as exc:
-            raise TraceError(f"{self._source}: {exc}") from None
+        return reading(iter_trace_records, self._source)
 
-    # -- passes 0+1: extent and counting ----------------------------------------
+    # -- pass 1: counting ---------------------------------------------------------
 
     def _extent_and_counts(self) -> tuple[int, str]:
-        """Run the extent and counting passes; returns (max_cid, counts path).
+        """Run the counting pass; returns (max_cid, counts path).
 
         When the source is a binary trace file (and chunked counting was
-        not requested), both passes fuse into one
-        :func:`scan_binary_learned` sweep that decodes the varints in place
-        without constructing record objects — the same arithmetic at a
-        fraction of the cost — and spools the decoded records for the
-        checking pass. Everything else takes the generic record-streaming
-        passes.
+        not requested), it is one :func:`scan_binary_learned` sweep that
+        decodes the varints in place without constructing record objects
+        — the same arithmetic at a fraction of the cost — and spools the
+        decoded records for the checking pass. Everything else is counted
+        by :func:`count_records` sweeps over the record stream: one, or
+        with chunked counting an extent sweep plus one per clause-ID range.
 
-        With a prune plan, both passes vanish: the plan already carries the
-        extent and the exact use counts restricted to the proof cone.
+        With a prune plan there is no counting pass: the plan already
+        carries the extent and the exact use counts restricted to the
+        proof cone.
         """
-        if self._chunk_size is None and isinstance(self._source, (str, Path)):
+        chunked = self._chunk_size is not None
+        if not chunked and isinstance(self._source, (str, Path)):
             try:
                 with open(self._source, "rb") as handle:
                     self._binary_fast = handle.read(len(MAGIC)) == MAGIC
             except OSError as exc:
                 raise TraceError(f"{self._source}: {exc}") from None
-        if self._plan is not None:
-            return self._plan_counts()
-        if self._binary_fast:
-            return self._fused_scan()
-        max_cid = self._scan_extent()
-        return max_cid, self._counting_pass(max_cid)
-
-    def _plan_counts(self) -> tuple[int, str]:
-        """Materialize the prune plan's use counts as the counts file."""
+        formula_clauses = self.formula.num_clauses
         plan = self._plan
-        assert plan is not None
-        if self.formula.num_clauses != plan.num_original:
-            raise CheckFailure(
-                FailureKind.UNKNOWN_CLAUSE,
-                "formula / trace disagree on the number of original clauses",
-                formula_clauses=self.formula.num_clauses,
-                trace_clauses=plan.num_original,
-            )
-        self._num_original = plan.num_original
-        self._total_learned = plan.total_learned
-        first_learned = plan.num_original + 1
-        with new_counts_file(self._tmp_dir) as (path, handle):
-            write_count_range(
-                handle, first_learned, plan.max_cid + 1, plan.needed_counts.get
-            )
-        return plan.max_cid, path
-
-    def _fused_scan(self) -> tuple[int, str]:
-        with new_spool(self._tmp_dir, prefix="bfcheck-spool-") as spool:
-            headers, max_cid, num_learned, counts = scan_binary_learned(
-                self._source, spool=spool
-            )
-        self._spool_path = spool.path
-        if not headers:
-            raise CheckFailure(FailureKind.BAD_HEADER, "trace has no header")
-        for _num_vars, num_original in headers:
-            self._num_original = num_original
-            if num_original > max_cid:
-                max_cid = num_original
-            if self.formula.num_clauses != num_original:
-                raise CheckFailure(
-                    FailureKind.UNKNOWN_CLAUSE,
-                    "formula / trace disagree on the number of original clauses",
-                    formula_clauses=self.formula.num_clauses,
-                    trace_clauses=num_original,
+        if plan is not None:
+            path = write_plan_counts(plan, formula_clauses, self._tmp_dir, "bfcheck-counts-")
+            self._num_original = plan.num_original
+            self._total_learned = plan.total_learned
+            return plan.max_cid, path
+        if self._binary_fast:
+            with new_spool(self._tmp_dir, prefix="bfcheck-spool-") as spool:
+                headers, max_cid, num_learned, counts = scan_binary_learned(
+                    self._source, spool=spool
                 )
-        self._total_learned = num_learned
-        first_learned = self._num_original + 1
+            self._spool_path = spool.path
+            num_original = check_headers(formula_clauses, headers)
+            self._total_learned = num_learned
+        else:
+            headers, max_cid, self._total_learned, counts, _ = count_records(
+                self._records(),
+                formula_clauses,
+                count_range=(0, 0) if chunked else None,
+                deadline=self._deadline,
+            )
+            num_original = check_headers(formula_clauses, headers)
+        self._num_original = num_original
+        max_cid = max(max_cid, num_original)
+        first_learned = num_original + 1
         with new_counts_file(self._tmp_dir) as (path, handle):
-            write_count_range(handle, first_learned, max_cid + 1, counts.get)
-        return max_cid, path
-
-    # -- pass 0: extent ----------------------------------------------------------
-
-    def _scan_extent(self) -> int:
-        """Find the number of original clauses and the largest clause ID."""
-        max_cid = 0
-        self._total_learned = 0
-        saw_header = False
-        deadline = self._deadline
-        ticks = 0
-        for record in self._records():
-            if deadline is not None:
-                ticks += 1
-                if not ticks & 0x3FF:
-                    deadline.check()
-            if isinstance(record, TraceHeader):
-                saw_header = True
-                self._num_original = record.num_original_clauses
-                max_cid = max(max_cid, record.num_original_clauses)
-                if self.formula.num_clauses != record.num_original_clauses:
-                    raise CheckFailure(
-                        FailureKind.UNKNOWN_CLAUSE,
-                        "formula / trace disagree on the number of original clauses",
-                        formula_clauses=self.formula.num_clauses,
-                        trace_clauses=record.num_original_clauses,
+            if not chunked:
+                write_count_range(handle, first_learned, max_cid + 1, counts.get)
+            else:
+                chunk = self._chunk_size or max(max_cid - num_original, 1)
+                for low in range(first_learned, max_cid + 1, chunk):
+                    high = min(low + chunk, max_cid + 1)
+                    _, _, _, counts, _ = count_records(
+                        self._records(),
+                        formula_clauses,
+                        count_range=(low, high),
+                        deadline=self._deadline,
                     )
-            elif isinstance(record, LearnedClause):
-                self._total_learned += 1
-                max_cid = max(max_cid, record.cid)
-        if not saw_header:
-            raise CheckFailure(FailureKind.BAD_HEADER, "trace has no header")
-        return max_cid
-
-    # -- pass 1: counting ---------------------------------------------------------
-
-    def _count_references(self, low: int, high: int, counts: array) -> None:
-        """Accumulate uses of clause IDs in [low, high) into ``counts``."""
-        assert self._num_original is not None
-        num_original = self._num_original
-        deadline = self._deadline
-        ticks = 0
-        for record in self._records():
-            if deadline is not None:
-                ticks += 1
-                if not ticks & 0x3FF:
-                    deadline.check()
-            if isinstance(record, LearnedClause):
-                for source in record.sources:
-                    if low <= source < high and source > num_original:
-                        counts[source - low] += 1
-            elif isinstance(record, LevelZeroAssignment):
-                if low <= record.antecedent < high and record.antecedent > num_original:
-                    counts[record.antecedent - low] += 1
-            elif isinstance(record, FinalConflict):
-                if low <= record.cid < high and record.cid > num_original:
-                    counts[record.cid - low] += 1
-
-    def _counting_pass(self, max_cid: int) -> str:
-        """Write per-learned-clause use counts to a temporary file."""
-        assert self._num_original is not None
-        first_learned = self._num_original + 1
-        span = max(0, max_cid - self._num_original)
-        chunk = self._chunk_size or max(span, 1)
-        with new_counts_file(self._tmp_dir) as (path, handle):
-            for low in range(first_learned, max_cid + 1, chunk):
-                high = min(low + chunk, max_cid + 1)
-                counts = array("Q", bytes(_COUNT_SIZE * (high - low)))
-                self._count_references(low, high, counts)
-                counts.tofile(handle)
-        return path
+                    write_count_range(handle, low, high, counts.get)
+        return max_cid, path
 
     # -- pass 2: checking -----------------------------------------------------------
 
@@ -467,24 +381,8 @@ class BreadthFirstChecker:
             self._remaining[cid] = remaining - 1
 
     def _build_learned(self, cid: int, sources: Sequence[int], counts: CountsReader) -> None:
-        if not sources:
-            # Normal parsing rejects zero-source records, but a hand-built
-            # Trace can smuggle one in; fail the report, don't IndexError.
-            raise CheckFailure(
-                FailureKind.MALFORMED_TRACE,
-                "learned clause record has no resolve sources",
-                cid=cid,
-            )
-        if max(sources) >= cid:
-            for source in sources:
-                if source >= cid:
-                    raise CheckFailure(
-                        FailureKind.CYCLIC_TRACE,
-                        "learned clause resolves from a clause with an ID not "
-                        "smaller than its own",
-                        cid=cid,
-                        source=source,
-                    )
+        if not sources or max(sources) >= cid:
+            check_sources(cid, sources)
         try:
             clause = self._engine.chain(cid, sources, self._get_clause)
         except ResolutionError as exc:
@@ -628,7 +526,7 @@ class BreadthFirstChecker:
             # A prune plan replaced the counting pass (or a value past
             # int64 left no spool): decode the binary trace, learned
             # records again as bare tuples.
-            stream = _reading(iter_binary_records_raw(self._source), self._source)
+            stream = reading(iter_binary_records_raw, self._source)
         else:
             stream = self._records()
         records_consumed = 0
@@ -686,17 +584,7 @@ class BreadthFirstChecker:
                         final_conflicts, status,
                     )
 
-        if status != "UNSAT":
-            raise CheckFailure(
-                FailureKind.BAD_STATUS,
-                "trace does not claim UNSAT; nothing to check",
-                status=status,
-            )
-        if not final_conflicts:
-            raise CheckFailure(
-                FailureKind.BAD_FINAL_CONFLICT,
-                "trace has no final conflicting clause",
-            )
+        check_unsat_claim(status, final_conflicts)
         final_cid = final_conflicts[0]
         # The counting pass charged one use per FinalConflict record, but
         # only the first conflict seeds the derivation below. Release the

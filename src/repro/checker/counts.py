@@ -12,6 +12,13 @@ share :func:`new_counts_file` / :func:`write_count_range`.
 Counts layout: one little-endian ``uint64`` per learned clause ID,
 densely packed from ``first_learned`` (= num_original + 1) upward.
 
+The counts come from a binary scanner
+(:func:`~repro.trace.binary_format.scan_binary_learned`,
+:func:`~repro.trace.binary_format.scan_mapped_learned`), from
+:func:`count_records` on a decoded record stream (ASCII files, in-memory
+traces, BF's chunked counting), or from a prune plan
+(:func:`write_plan_counts`).
+
 When the counting pass decodes a binary trace, it also writes every
 record it decodes to a *spool* (:class:`SpoolWriter`), and the checking
 pass replays the spool (:func:`iter_spool`) instead of decoding the
@@ -37,9 +44,10 @@ import struct
 import tempfile
 from array import array
 from contextlib import AbstractContextManager, contextmanager, nullcontext
-from typing import BinaryIO, Callable, Iterator, Sequence
+from pathlib import Path
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, Sequence
 
-from repro.checker.errors import CheckFailure, FailureKind
+from repro.checker.errors import CheckFailure, FailureKind, check_clause_count
 
 # Spool entries reuse the binary trace's record tags.
 from repro.trace.binary_format import (
@@ -53,11 +61,17 @@ from repro.trace.binary_format import (
 from repro.trace.records import (
     ClauseDeletion,
     FinalConflict,
+    LearnedClause,
     LevelZeroAssignment,
+    TraceError,
     TraceHeader,
     TraceRecord,
     TraceResult,
 )
+
+if TYPE_CHECKING:
+    from repro.analysis.graph import PrunePlan
+    from repro.checker.memory import Deadline
 
 COUNT_FORMAT = "<Q"
 COUNT_SIZE = struct.calcsize(COUNT_FORMAT)
@@ -99,6 +113,91 @@ def write_count_range(
     array(COUNT_FORMAT[1], (get_count(cid, 0) for cid in range(low, high))).tofile(
         handle
     )
+
+
+def count_records(
+    records: Iterable[TraceRecord],
+    formula_clauses: int,
+    count_range: tuple[int, int] | None = None,
+    track_last_use: bool = False,
+    deadline: Deadline | None = None,
+) -> tuple[list[tuple[int, int]], int, int, dict[int, int], dict[int, int]]:
+    """The counting pass over a decoded record stream.
+
+    Returns what the binary scanners return: ``(headers, max_learned_cid,
+    num_learned, counts, last_use)``. ``counts`` maps a clause ID to its
+    references (learned-clause sources, level-zero antecedents and final
+    conflicts), for the IDs in ``count_range`` (``[low, high)``), or
+    without one for every ID past the header's original clauses: only
+    learned clauses go to the counts file. With ``track_last_use``,
+    ``last_use`` maps each counted ID to the stream position of its last
+    reference; otherwise it is empty. Each header is checked against
+    ``formula_clauses`` as it arrives, so a mismatch fails before the
+    rest of the trace is read. ``deadline`` is polled every 1024 records.
+    """
+    headers: list[tuple[int, int]] = []
+    max_cid = 0
+    num_learned = 0
+    counts: dict[int, int] = {}
+    counts_get = counts.get
+    last_use: dict[int, int] = {}
+    low, high = count_range if count_range is not None else (0, 1 << 62)
+    position = 0
+    for record in records:
+        position += 1
+        if deadline is not None and not position & 0x3FF:
+            deadline.check()
+        if isinstance(record, LearnedClause):
+            num_learned += 1
+            if record.cid > max_cid:
+                max_cid = record.cid
+            refs: Sequence[int] = record.sources
+        elif isinstance(record, TraceHeader):
+            check_clause_count(formula_clauses, record.num_original_clauses)
+            headers.append((record.num_vars, record.num_original_clauses))
+            if count_range is None:
+                low = record.num_original_clauses + 1
+            continue
+        elif isinstance(record, LevelZeroAssignment):
+            refs = (record.antecedent,)
+        elif isinstance(record, FinalConflict):
+            refs = (record.cid,)
+        else:
+            continue  # deletions and results reference nothing
+        for ref in refs:
+            if low <= ref < high:
+                counts[ref] = counts_get(ref, 0) + 1
+                if track_last_use:
+                    last_use[ref] = position
+    return headers, max_cid, num_learned, counts, last_use
+
+
+def write_plan_counts(
+    plan: PrunePlan, formula_clauses: int, tmp_dir: str | None, prefix: str
+) -> str:
+    """Write a prune plan's use counts as a counts file; returns its path.
+
+    The plan stands in for the counting pass: it carries the trace's
+    extent and the use counts restricted to the proof cone.
+    """
+    check_clause_count(formula_clauses, plan.num_original)
+    with new_counts_file(tmp_dir, prefix) as (path, handle):
+        write_count_range(
+            handle, plan.num_original + 1, plan.max_cid + 1, plan.needed_counts.get
+        )
+    return path
+
+
+def reading(decode: Callable[[str | Path], Iterable], path: str | Path) -> Iterator:
+    """Yield ``decode(path)``'s records; an ``OSError`` is a :class:`TraceError`.
+
+    Wraps opening and reading the trace only, so an ``OSError`` from a
+    counts, spool, spill or checkpoint file keeps its own class.
+    """
+    try:
+        yield from decode(path)
+    except OSError as exc:
+        raise TraceError(f"{path}: {exc}") from None
 
 
 class CountsReader:

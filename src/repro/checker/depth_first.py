@@ -16,7 +16,13 @@ import time
 from types import MappingProxyType
 from typing import Mapping
 
-from repro.checker.errors import CheckFailure, FailureKind
+from repro.checker.errors import (
+    CheckFailure,
+    FailureKind,
+    check_clause_count,
+    check_sources,
+    check_unsat_claim,
+)
 from repro.checker.kernel import ClauseLits, engine_memory_stats, make_engine
 from repro.checker.level_zero import LevelZeroState, derive_empty_clause
 from repro.checker.memory import Deadline, MemoryMeter
@@ -117,24 +123,8 @@ class DepthFirstChecker:
     # -- internals -------------------------------------------------------------
 
     def _check_preamble(self) -> None:
-        if self.trace.status != "UNSAT":
-            raise CheckFailure(
-                FailureKind.BAD_STATUS,
-                "trace does not claim UNSAT; nothing to check",
-                status=self.trace.status,
-            )
-        if not self.trace.final_conflicts:
-            raise CheckFailure(
-                FailureKind.BAD_FINAL_CONFLICT,
-                "trace has no final conflicting clause",
-            )
-        if self.formula.num_clauses != self._num_original:
-            raise CheckFailure(
-                FailureKind.UNKNOWN_CLAUSE,
-                "formula / trace disagree on the number of original clauses",
-                formula_clauses=self.formula.num_clauses,
-                trace_clauses=self._num_original,
-            )
+        check_unsat_claim(self.trace.status, self.trace.final_conflicts)
+        check_clause_count(self.formula.num_clauses, self._num_original)
 
     def _charge_trace_memory(self) -> None:
         """The DF checker reads the entire trace into main memory (§3.2).
@@ -189,13 +179,7 @@ class DepthFirstChecker:
             pending = []
             for source in record.sources:
                 if source >= top:
-                    raise CheckFailure(
-                        FailureKind.CYCLIC_TRACE,
-                        "learned clause resolves from a clause with an ID "
-                        "not smaller than its own",
-                        cid=top,
-                        source=source,
-                    )
+                    check_sources(top, record.sources)
                 if source not in self._built:
                     if source <= self._num_original:
                         self._materialize_original(source)
@@ -215,11 +199,7 @@ class DepthFirstChecker:
 
     def _resolve_record(self, cid: int, sources: tuple[int, ...]) -> None:
         if not sources:
-            raise CheckFailure(
-                FailureKind.MALFORMED_TRACE,
-                "learned clause record has no resolve sources",
-                cid=cid,
-            )
+            check_sources(cid, sources)
         try:
             clause = self._engine.chain(cid, sources, self._built.__getitem__)
         except ResolutionError as exc:

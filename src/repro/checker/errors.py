@@ -9,7 +9,7 @@ machine-readable kind plus the clause IDs / literals involved.
 from __future__ import annotations
 
 import enum
-from typing import Any
+from typing import Any, Sequence, Sized
 
 
 class FailureKind(enum.Enum):
@@ -64,3 +64,70 @@ class CheckFailure(Exception):
 
     def __reduce__(self):
         return (_rebuild_failure, (type(self), self.kind, self.message, self.context))
+
+
+# -- trace checks every resolution-trace checker shares ------------------------
+
+
+def check_clause_count(formula_clauses: int, trace_clauses: int) -> None:
+    """Fail when a trace header's original-clause count is not the formula's."""
+    if formula_clauses != trace_clauses:
+        raise CheckFailure(
+            FailureKind.UNKNOWN_CLAUSE,
+            "formula / trace disagree on the number of original clauses",
+            formula_clauses=formula_clauses,
+            trace_clauses=trace_clauses,
+        )
+
+
+def check_headers(formula_clauses: int, headers: Sequence[tuple[int, int]]) -> int:
+    """Check a trace's ``(num_vars, num_original_clauses)`` headers.
+
+    Fails when there is none or one disagrees with the formula; returns
+    the last header's original-clause count.
+    """
+    if not headers:
+        raise CheckFailure(FailureKind.BAD_HEADER, "trace has no header")
+    for _num_vars, num_original in headers:
+        check_clause_count(formula_clauses, num_original)
+    return num_original
+
+
+def check_unsat_claim(status: str, final_conflicts: Sized) -> None:
+    """Fail unless the trace claims UNSAT and records a final conflict."""
+    if status != "UNSAT":
+        raise CheckFailure(
+            FailureKind.BAD_STATUS,
+            "trace does not claim UNSAT; nothing to check",
+            status=status,
+        )
+    if not final_conflicts:
+        raise CheckFailure(
+            FailureKind.BAD_FINAL_CONFLICT,
+            "trace has no final conflicting clause",
+        )
+
+
+def check_sources(cid: int, sources: Sequence[int]) -> None:
+    """Fail a learned record with no sources or a source not below ``cid``.
+
+    Each checker calls it only behind a cheaper per-record test of its
+    own, so it runs at most once per check, to raise.
+    """
+    if not sources:
+        # Normal parsing rejects zero-source records, but a hand-built
+        # Trace can smuggle one in; fail the report, don't IndexError.
+        raise CheckFailure(
+            FailureKind.MALFORMED_TRACE,
+            "learned clause record has no resolve sources",
+            cid=cid,
+        )
+    for source in sources:
+        if source >= cid:
+            raise CheckFailure(
+                FailureKind.CYCLIC_TRACE,
+                "learned clause resolves from a clause with an ID not "
+                "smaller than its own",
+                cid=cid,
+                source=source,
+            )

@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.checker.breadth_first import BreadthFirstChecker
-from repro.checker.errors import CheckFailure, FailureKind
+from repro.checker.errors import check_clause_count, check_unsat_claim
 from repro.checker.kernel import ClauseLits
 from repro.checker.memory import Deadline
 from repro.checker.report import CheckReport
@@ -107,18 +107,10 @@ class HybridChecker(BreadthFirstChecker):
             raise TraceError(f"{self._source}: {exc}") from None
         if graph.violations:
             return None
-        if self.formula.num_clauses != graph.num_original:
-            raise CheckFailure(
-                FailureKind.UNKNOWN_CLAUSE,
-                "formula / trace disagree on the number of original clauses",
-                formula_clauses=self.formula.num_clauses,
-                trace_clauses=graph.num_original,
-            )
-        if graph.status == "UNSAT" and not graph.final_conflicts:
-            raise CheckFailure(
-                FailureKind.BAD_FINAL_CONFLICT,
-                "trace has no final conflicting clause",
-            )
+        check_clause_count(self.formula.num_clauses, graph.num_original)
+        status = graph.status or "UNKNOWN"
+        if status == "UNSAT":
+            check_unsat_claim(status, graph.final_conflicts)
         self._total_learned = graph.num_learned
         graph_units = sum(
             self.meter.record_units(1 + len(sources))
@@ -126,12 +118,7 @@ class HybridChecker(BreadthFirstChecker):
         )
         self.meter.allocate(graph_units)
         self.meter.release(graph_units)
-        if graph.status != "UNSAT":
-            raise CheckFailure(
-                FailureKind.BAD_STATUS,
-                "trace does not claim UNSAT; nothing to check",
-                status=graph.status or "UNKNOWN",
-            )
+        check_unsat_claim(status, graph.final_conflicts)
         return graph.prune_plan()
 
     def _get_clause(self, cid: int) -> ClauseLits:

@@ -16,13 +16,14 @@ resident. This checker is that idea on top of the repo's BF machinery:
   mapping (:func:`~repro.trace.binary_format.decode_mapped_batch`). The
   full :class:`~repro.trace.records.Trace` is never materialized, so
   decoding memory is one batch or spool block, regardless of trace size.
-  ASCII traces and in-memory ``Trace`` objects stream through the
-  generic record path in the same batches.
+  ASCII traces and in-memory ``Trace`` objects are counted by one
+  :func:`~repro.checker.counts.count_records` sweep and checked through
+  the generic record path in the same batches.
 * **Counting pre-pass.** Like BF, a first streaming pass writes each
   learned clause's total use count to a temp file
-  (:mod:`repro.checker.counts`). The mmap pass additionally records each
-  clause's *last use* — the stream position of its final reference —
-  which orders the window's retirement decisions.
+  (:mod:`repro.checker.counts`). Unless the counting is chunked, it also
+  records each clause's *last use* — the stream position of its final
+  reference — which orders the window's retirement decisions.
 * **Originals are read from the formula.** The checker holds only the
   clauses the trace defines: learned clauses. An original clause is the
   caller's :class:`~repro.cnf.CnfFormula` entry, handed to the kernel as
@@ -57,13 +58,22 @@ from typing import IO, BinaryIO, Iterable, Iterator, Sequence
 
 from repro.checker.counts import (
     CountsReader,
+    count_records,
     iter_spool,
     new_counts_file,
     new_spool,
     open_spool,
+    reading,
     write_count_range,
+    write_plan_counts,
 )
-from repro.checker.errors import CheckFailure, FailureKind
+from repro.checker.errors import (
+    CheckFailure,
+    FailureKind,
+    check_headers,
+    check_sources,
+    check_unsat_claim,
+)
 from repro.checker.kernel import ClauseLits, engine_memory_stats, make_engine
 from repro.checker.level_zero import LevelZeroState, derive_empty_clause
 from repro.checker.memory import Deadline, MemoryMeter
@@ -83,7 +93,6 @@ from repro.trace.records import (
     LevelZeroAssignment,
     Trace,
     TraceError,
-    TraceHeader,
     TraceRecord,
     TraceResult,
 )
@@ -221,7 +230,7 @@ class StreamingWindowChecker:
     def _records(self) -> Iterator[TraceRecord]:
         if isinstance(self._source, Trace):
             return self._source.records()
-        return iter_trace_records(self._source)
+        return reading(iter_trace_records, self._source)
 
     def _batches(self, spool: BinaryIO | None) -> Iterator[list]:
         """The trace as ``window_records``-sized batches.
@@ -254,124 +263,56 @@ class StreamingWindowChecker:
     def _counting_pass(self) -> tuple[int, str]:
         """Write the use-count file; returns ``(max_cid, counts_path)``.
 
-        Sets ``_num_original``/``_total_learned`` and, on the unchunked
-        mmap path, fills ``_last_use`` with each clause's final-reference
-        stream position.
+        Sets ``_num_original``/``_total_learned`` and, unless counting is
+        chunked or a prune plan replaces it, fills ``_last_use`` with each
+        clause's final-reference stream position. A record stream (ASCII
+        or in memory) is counted in one sweep, chunked or not.
         """
-        if self._plan is not None:
-            return self._plan_counts()
-        if self._mapped is not None:
-            return self._mapped_counts()
-        return self._generic_counts()
-
-    def _plan_counts(self) -> tuple[int, str]:
+        formula_clauses = self.formula.num_clauses
         plan = self._plan
-        assert plan is not None
-        if self.formula.num_clauses != plan.num_original:
-            raise CheckFailure(
-                FailureKind.UNKNOWN_CLAUSE,
-                "formula / trace disagree on the number of original clauses",
-                formula_clauses=self.formula.num_clauses,
-                trace_clauses=plan.num_original,
-            )
-        self._num_original = plan.num_original
-        self._total_learned = plan.total_learned
-        with new_counts_file(self._tmp_dir, prefix="stream-counts-") as (path, handle):
-            write_count_range(
-                handle, plan.num_original + 1, plan.max_cid + 1, plan.needed_counts.get
-            )
-        return plan.max_cid, path
-
-    def _validate_headers(self, headers: Sequence[tuple[int, int]], max_cid: int) -> int:
-        if not headers:
-            raise CheckFailure(FailureKind.BAD_HEADER, "trace has no header")
-        for _num_vars, num_original in headers:
-            self._num_original = num_original
-            if num_original > max_cid:
-                max_cid = num_original
-            if self.formula.num_clauses != num_original:
-                raise CheckFailure(
-                    FailureKind.UNKNOWN_CLAUSE,
-                    "formula / trace disagree on the number of original clauses",
-                    formula_clauses=self.formula.num_clauses,
-                    trace_clauses=num_original,
-                )
-        return max_cid
-
-    def _mapped_counts(self) -> tuple[int, str]:
-        assert self._mapped is not None
-        view = self._mapped.view
-        chunked = self._chunk_size is not None
+        if plan is not None:
+            path = write_plan_counts(plan, formula_clauses, self._tmp_dir, "stream-counts-")
+            self._num_original = plan.num_original
+            self._total_learned = plan.total_learned
+            return plan.max_cid, path
+        mapped = self._mapped
         # Chunked counting (the paper's multi-pass mode) counts nothing on
-        # this first pass (an empty count range), then makes one pass per
-        # clause-ID chunk. Last uses are not collected then — they would
-        # need the full range in one pass — so eviction falls back to
+        # the mapped first pass (an empty count range), then makes one pass
+        # per clause-ID chunk. Last uses are not collected then — they
+        # would need the full range in one pass — so eviction falls back to
         # oldest-first. Either way this pass spools every record.
-        with new_spool(self._tmp_dir, prefix="stream-spool-") as spool:
-            headers, max_cid, num_learned, counts, last_use = scan_mapped_learned(
-                view,
-                count_range=(0, 0) if chunked else None,
-                track_last_use=not chunked,
-                spool=spool,
+        chunk = self._chunk_size if mapped is not None else None
+        if mapped is not None:
+            with new_spool(self._tmp_dir, prefix="stream-spool-") as spool:
+                headers, max_cid, num_learned, counts, last_use = scan_mapped_learned(
+                    mapped.view,
+                    count_range=None if chunk is None else (0, 0),
+                    track_last_use=chunk is None,
+                    spool=spool,
+                )
+            self._spool_path = spool.path
+            num_original = check_headers(formula_clauses, headers)
+            self._total_learned = num_learned
+        else:
+            headers, max_cid, self._total_learned, counts, last_use = count_records(
+                self._records(), formula_clauses, track_last_use=True, deadline=self._deadline
             )
-        self._spool_path = spool.path
-        max_cid = self._validate_headers(headers, max_cid)
-        self._total_learned = num_learned
+            num_original = check_headers(formula_clauses, headers)
+        self._num_original = num_original
         self._last_use = last_use
-        first_learned = self._num_original + 1
+        max_cid = max(max_cid, num_original)
+        first_learned = num_original + 1
         with new_counts_file(self._tmp_dir, prefix="stream-counts-") as (path, handle):
-            if not chunked:
+            if chunk is None:
                 write_count_range(handle, first_learned, max_cid + 1, counts.get)
             else:
-                for low in range(first_learned, max_cid + 1, self._chunk_size):
-                    high = min(low + self._chunk_size, max_cid + 1)
-                    _, _, _, counts, _ = scan_mapped_learned(view, count_range=(low, high))
-                    write_count_range(handle, low, high, counts.get)
-        return max_cid, path
-
-    def _generic_counts(self) -> tuple[int, str]:
-        """One record-stream pass for ASCII files and in-memory traces."""
-        counts: dict[int, int] = {}
-        counts_get = counts.get
-        last_use: dict[int, int] = {}
-        max_cid = 0
-        saw_header = False
-        position = 0
-        deadline = self._deadline
-        for record in self._records():
-            position += 1
-            if deadline is not None and not position & 0x3FF:
-                deadline.check()
-            if isinstance(record, LearnedClause):
-                self._total_learned += 1
-                if record.cid > max_cid:
-                    max_cid = record.cid
-                for src in record.sources:
-                    counts[src] = counts_get(src, 0) + 1
-                    last_use[src] = position
-            elif isinstance(record, TraceHeader):
-                saw_header = True
-                self._num_original = record.num_original_clauses
-                if record.num_original_clauses > max_cid:
-                    max_cid = record.num_original_clauses
-                if self.formula.num_clauses != record.num_original_clauses:
-                    raise CheckFailure(
-                        FailureKind.UNKNOWN_CLAUSE,
-                        "formula / trace disagree on the number of original clauses",
-                        formula_clauses=self.formula.num_clauses,
-                        trace_clauses=record.num_original_clauses,
+                assert mapped is not None
+                for low in range(first_learned, max_cid + 1, chunk):
+                    high = min(low + chunk, max_cid + 1)
+                    _, _, _, counts, _ = scan_mapped_learned(
+                        mapped.view, count_range=(low, high)
                     )
-            elif isinstance(record, LevelZeroAssignment):
-                counts[record.antecedent] = counts_get(record.antecedent, 0) + 1
-                last_use[record.antecedent] = position
-            elif isinstance(record, FinalConflict):
-                counts[record.cid] = counts_get(record.cid, 0) + 1
-                last_use[record.cid] = position
-        if not saw_header:
-            raise CheckFailure(FailureKind.BAD_HEADER, "trace has no header")
-        self._last_use = last_use
-        with new_counts_file(self._tmp_dir, prefix="stream-counts-") as (path, handle):
-            write_count_range(handle, self._num_original + 1, max_cid + 1, counts.get)
+                    write_count_range(handle, low, high, counts.get)
         return max_cid, path
 
     # -- residency management -------------------------------------------------
@@ -513,22 +454,8 @@ class StreamingWindowChecker:
     # -- pass 2: windowed checking --------------------------------------------
 
     def _build_learned(self, cid: int, sources: Sequence[int], counts: CountsReader) -> None:
-        if not sources:
-            raise CheckFailure(
-                FailureKind.MALFORMED_TRACE,
-                "learned clause record has no resolve sources",
-                cid=cid,
-            )
-        if max(sources) >= cid:
-            for source in sources:
-                if source >= cid:
-                    raise CheckFailure(
-                        FailureKind.CYCLIC_TRACE,
-                        "learned clause resolves from a clause with an ID not "
-                        "smaller than its own",
-                        cid=cid,
-                        source=source,
-                    )
+        if not sources or max(sources) >= cid:
+            check_sources(cid, sources)
         try:
             clause = self._engine.chain(cid, sources, self._get_clause)
         except ResolutionError as exc:
@@ -601,17 +528,7 @@ class StreamingWindowChecker:
                 spilled=len(self._spill_index),
             )
 
-        if status != "UNSAT":
-            raise CheckFailure(
-                FailureKind.BAD_STATUS,
-                "trace does not claim UNSAT; nothing to check",
-                status=status,
-            )
-        if not final_conflicts:
-            raise CheckFailure(
-                FailureKind.BAD_FINAL_CONFLICT,
-                "trace has no final conflicting clause",
-            )
+        check_unsat_claim(status, final_conflicts)
         final_cid = final_conflicts[0]
         self._consume_uses(final_conflicts[1:])
         level_zero = LevelZeroState(level_zero_entries)

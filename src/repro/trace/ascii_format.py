@@ -71,33 +71,39 @@ class AsciiTraceWriter:
 
 
 def iter_ascii_records(path: str | Path) -> Iterator[TraceRecord]:
-    """Stream records from an ASCII trace file (constant memory)."""
+    """Stream records from an ASCII trace file (constant memory).
+
+    A byte outside ASCII is a :class:`TraceError` naming the path.
+    """
     with open(path, "r", encoding="ascii") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            tag = fields[0]
-            try:
-                if tag == "T":
-                    yield TraceHeader(int(fields[1]), int(fields[2]))
-                elif tag == "CL":
-                    yield LearnedClause(int(fields[1]), tuple(map(int, fields[2:])))
-                elif tag == "D":
-                    yield ClauseDeletion(int(fields[1]))
-                elif tag == "V":
-                    yield LevelZeroAssignment(
-                        int(fields[1]), fields[2] == "1", int(fields[3])
-                    )
-                elif tag == "CONF":
-                    yield FinalConflict(int(fields[1]))
-                elif tag == "R":
-                    yield TraceResult(fields[1])
-                else:
-                    raise TraceError(f"line {lineno}: unknown record tag {tag!r}")
-            except (IndexError, ValueError) as exc:
-                raise TraceError(f"line {lineno}: malformed record {line!r}") from exc
+        try:
+            for lineno, raw in enumerate(handle, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                fields = line.split()
+                tag = fields[0]
+                try:
+                    if tag == "T":
+                        yield TraceHeader(int(fields[1]), int(fields[2]))
+                    elif tag == "CL":
+                        yield LearnedClause(int(fields[1]), tuple(map(int, fields[2:])))
+                    elif tag == "D":
+                        yield ClauseDeletion(int(fields[1]))
+                    elif tag == "V":
+                        yield LevelZeroAssignment(
+                            int(fields[1]), fields[2] == "1", int(fields[3])
+                        )
+                    elif tag == "CONF":
+                        yield FinalConflict(int(fields[1]))
+                    elif tag == "R":
+                        yield TraceResult(fields[1])
+                    else:
+                        raise TraceError(f"line {lineno}: unknown record tag {tag!r}")
+                except (IndexError, ValueError) as exc:
+                    raise TraceError(f"line {lineno}: malformed record {line!r}") from exc
+        except UnicodeDecodeError as exc:
+            raise TraceError(f"{path}: {exc}") from None
 
 
 def read_ascii_trace(path: str | Path) -> Trace:

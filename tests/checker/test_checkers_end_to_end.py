@@ -81,11 +81,14 @@ def test_bf_chunked_counting_matches_unchunked(tmp_path):
     formula = pigeonhole(6, 5)
     path = tmp_path / "t.trace"
     solve_formula(formula, trace_writer=AsciiTraceWriter(path))
-    whole = BreadthFirstChecker(formula, path).check()
-    chunked = BreadthFirstChecker(formula, path, count_chunk_size=7).check()
-    assert whole.verified and chunked.verified
-    assert whole.clauses_built == chunked.clauses_built
-    assert whole.peak_memory_units == chunked.peak_memory_units
+    binary_path = tmp_path / "t.rtb"
+    solve_formula(formula, trace_writer=BinaryTraceWriter(binary_path))
+    for source in (path, binary_path, load_trace(path)):
+        whole = BreadthFirstChecker(formula, source).check()
+        chunked = BreadthFirstChecker(formula, source, count_chunk_size=7).check()
+        assert whole.verified and chunked.verified
+        assert whole.clauses_built == chunked.clauses_built
+        assert whole.peak_memory_units == chunked.peak_memory_units
 
 
 def test_df_and_hybrid_build_nearly_the_same_subset():

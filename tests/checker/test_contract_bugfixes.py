@@ -16,18 +16,33 @@ Each test pins one historical bug:
   and from the static precheck of BF, hybrid and streaming.
 * an unreadable proof path escaped the RUP and DRAT checkers the same way.
 * a read error partway through a trace escaped the BF checker as an
-  ``OSError``: only opening the trace was converted.
+  ``OSError``: only opening the trace was converted; the streaming
+  checker let it escape from an ASCII trace until it shared BF's wrapper.
+* a non-ASCII byte in an ASCII trace escaped every trace checker and the
+  supervisor as ``UnicodeDecodeError``.
+
+The trace checks the checkers share (header, clause count, UNSAT claim)
+must fail with the same kind, message and context in every checker.
 """
 
 from __future__ import annotations
 
 import errno
+from pathlib import Path
 
 import pytest
 
-from repro.checker import BreadthFirstChecker, DepthFirstChecker, FailureKind, HybridChecker
+from repro.checker import (
+    BreadthFirstChecker,
+    DepthFirstChecker,
+    FailureKind,
+    HybridChecker,
+    StreamingWindowChecker,
+    supervised_check,
+)
 from repro.cnf import CnfFormula
 from repro.trace import (
+    AsciiTraceWriter,
     BinaryTraceWriter,
     LearnedClause,
     Trace,
@@ -36,7 +51,13 @@ from repro.trace import (
     read_binary_trace,
 )
 from repro.trace.binary_format import MAGIC
-from repro.trace.records import LevelZeroAssignment
+from repro.trace.records import (
+    ClauseDeletion,
+    FinalConflict,
+    LevelZeroAssignment,
+    TraceResult,
+    assemble_trace,
+)
 
 
 # -- bug 1: binary result round-trip --------------------------------------------
@@ -121,15 +142,105 @@ def test_empty_sources_file_lands_in_the_report(tmp_path, checker_cls):
 
 # -- bug 3: missing header must be reported as BAD_HEADER ------------------------
 
+_CHECKERS = ["BreadthFirstChecker", "HybridChecker", "StreamingWindowChecker", "supervised-df"]
 
-@pytest.mark.parametrize("checker_cls", [BreadthFirstChecker, HybridChecker])
-def test_headerless_trace_reports_bad_header(tmp_path, checker_cls):
-    path = tmp_path / "headerless.trace"
-    path.write_text("R UNSAT\n")
-    report = checker_cls(_trivially_unsat_formula(), path).check()
-    assert not report.verified
-    assert report.failure.kind is FailureKind.BAD_HEADER
-    assert report.failure.kind is not FailureKind.BAD_LEVEL_ZERO
+
+def _check(checker: str, formula, source):
+    if checker == "supervised-df":
+        return supervised_check(formula, source, method="df", policy="strict")
+    checker_cls = {
+        "BreadthFirstChecker": BreadthFirstChecker,
+        "HybridChecker": HybridChecker,
+        "StreamingWindowChecker": StreamingWindowChecker,
+    }[checker]
+    return checker_cls(formula, source).check()
+
+
+def _php_records():
+    from repro.solver import Solver, SolverConfig
+    from repro.trace import InMemoryTraceWriter
+
+    from tests.conftest import pigeonhole
+
+    formula = pigeonhole(4, 3)
+    writer = InMemoryTraceWriter()
+    assert Solver(formula, SolverConfig(seed=0), trace_writer=writer).solve().is_unsat
+    return formula, writer.records
+
+
+def _sources(tmp_path, records) -> dict:
+    """``records`` as an ASCII trace file, a binary one and a ``Trace``."""
+    sources: dict = {}
+    for fmt, writer_cls in (("ascii", AsciiTraceWriter), ("binary", BinaryTraceWriter)):
+        path = tmp_path / f"trace.{fmt}"
+        with writer_cls(path) as writer:
+            for record in records:
+                if isinstance(record, TraceHeader):
+                    writer.header(record.num_vars, record.num_original_clauses)
+                elif isinstance(record, LearnedClause):
+                    writer.learned_clause(record.cid, record.sources)
+                elif isinstance(record, ClauseDeletion):
+                    writer.clause_deletion(record.cid)
+                elif isinstance(record, LevelZeroAssignment):
+                    writer.level_zero(record.var, record.value, record.antecedent)
+                elif isinstance(record, FinalConflict):
+                    writer.final_conflict(record.cid)
+                else:
+                    writer.result(record.status)
+        sources[fmt] = str(path)
+    if isinstance(records[0], TraceHeader):
+        sources["in-memory"] = assemble_trace(records)
+    else:
+        # Parsing rejects a trace without a header; a hand-built one lacks it.
+        sources["in-memory"] = assemble_trace([TraceHeader(0, 0), *records])
+        sources["in-memory"].header = None
+    return sources
+
+
+@pytest.mark.parametrize("checker", _CHECKERS)
+def test_headerless_trace_reports_bad_header(tmp_path, checker):
+    formula, records = _php_records()
+    for name, source in _sources(tmp_path, records[1:]).items():
+        if checker != "supervised-df":
+            expected = (FailureKind.BAD_HEADER, "trace has no header", {})
+        elif name == "in-memory":
+            continue  # DF reads its trace's header on construction
+        else:
+            # DF loads the whole trace before checking it, and loading
+            # rejects a record ahead of the header.
+            expected = (FailureKind.MALFORMED_TRACE, "trace record before header", {})
+        failure = _check(checker, formula, source).failure
+        assert (failure.kind, failure.message, failure.context) == expected, name
+
+
+@pytest.mark.parametrize("fault", ["count-mismatch", "sat-claim", "no-final-conflict"])
+def test_trace_claim_failures_agree_across_checkers(tmp_path, fault):
+    formula, records = _php_records()
+    assert isinstance(records[0], TraceHeader)
+    if fault == "count-mismatch":
+        trace_clauses = formula.num_clauses
+        formula = CnfFormula(
+            formula.num_vars, [list(c.literals) for c in formula.clauses] + [[1, 2]]
+        )
+        expected = (
+            FailureKind.UNKNOWN_CLAUSE,
+            "formula / trace disagree on the number of original clauses",
+            {"formula_clauses": trace_clauses + 1, "trace_clauses": trace_clauses},
+        )
+    elif fault == "sat-claim":
+        records = [TraceResult("SAT") if isinstance(r, TraceResult) else r for r in records]
+        expected = (
+            FailureKind.BAD_STATUS,
+            "trace does not claim UNSAT; nothing to check",
+            {"status": "SAT"},
+        )
+    else:
+        records = [r for r in records if not isinstance(r, FinalConflict)]
+        expected = (FailureKind.BAD_FINAL_CONFLICT, "trace has no final conflicting clause", {})
+    for name, source in _sources(tmp_path, records).items():
+        for checker in _CHECKERS:
+            failure = _check(checker, formula, source).failure
+            assert (failure.kind, failure.message, failure.context) == expected, (name, checker)
 
 
 # -- bug 4: unused final conflicts must not pin clauses resident -----------------
@@ -283,13 +394,12 @@ class _FailingReads:
         self._handle.close()
 
 
-def _solved_trace(tmp_path, fmt: str):
+def _solved_trace(tmp_path, fmt: str, pigeons: int = 5):
     from repro.solver import Solver, SolverConfig
-    from repro.trace import AsciiTraceWriter
 
     from tests.conftest import pigeonhole
 
-    formula = pigeonhole(5, 4)
+    formula = pigeonhole(pigeons, pigeons - 1)
     path = tmp_path / ("php.rtb" if fmt == "binary" else "php.trace")
     writer = BinaryTraceWriter(path) if fmt == "binary" else AsciiTraceWriter(path)
     assert Solver(formula, SolverConfig(seed=0), trace_writer=writer).solve().is_unsat
@@ -298,17 +408,29 @@ def _solved_trace(tmp_path, fmt: str):
 
 
 @pytest.mark.parametrize(
-    "fmt,options,good",
+    "checker_cls,fmt,options,good",
     [
-        ("binary", {}, 1),  # the fused scan's first chunk read
-        ("binary", {"count_chunk_size": 7}, 1),  # the generic record passes
-        ("binary", {"prune": True}, 1),  # the pruned checking pass
-        ("ascii", {}, 40),
-        ("ascii", {"prune": True}, 40),
+        (BreadthFirstChecker, "binary", {}, 1),  # the fused scan's first chunk read
+        (BreadthFirstChecker, "binary", {"count_chunk_size": 7}, 1),  # the record sweeps
+        (BreadthFirstChecker, "binary", {"prune": True}, 1),  # the pruned checking pass
+        (BreadthFirstChecker, "ascii", {}, 40),
+        (BreadthFirstChecker, "ascii", {"prune": True}, 40),
+        (StreamingWindowChecker, "ascii", {}, 40),
+        (StreamingWindowChecker, "ascii", {"prune": True}, 40),
     ],
-    ids=["binary-scan", "binary-chunked", "binary-pruned", "ascii", "ascii-pruned"],
+    ids=[
+        "binary-scan",
+        "binary-chunked",
+        "binary-pruned",
+        "ascii",
+        "ascii-pruned",
+        "streaming-ascii",
+        "streaming-ascii-pruned",
+    ],
 )
-def test_a_read_error_mid_trace_is_a_malformed_trace(tmp_path, monkeypatch, fmt, options, good):
+def test_a_read_error_mid_trace_is_a_malformed_trace(
+    tmp_path, monkeypatch, checker_cls, fmt, options, good
+):
     import builtins
 
     from repro.analysis.graph import compute_prune_plan
@@ -325,17 +447,30 @@ def test_a_read_error_mid_trace_is_a_malformed_trace(tmp_path, monkeypatch, fmt,
         lambda *args, **kwargs: _FailingReads(builtins.open(*args, **kwargs), good),
         raising=False,
     )
-    report = BreadthFirstChecker(formula, path, **options).check()  # must not raise
+    report = checker_cls(formula, path, **options).check()  # must not raise
     assert report.failure.kind is FailureKind.MALFORMED_TRACE
     assert report.failure.message == f"{path}: [Errno {errno.EIO}] Input/output error"
 
 
-def test_counts_and_checkpoint_file_errors_keep_their_class(tmp_path):
+def test_counts_and_checkpoint_file_errors_keep_their_class(tmp_path, monkeypatch):
     from repro import faults
 
     formula, path = _solved_trace(tmp_path, "binary")
+    _, ascii_path = _solved_trace(tmp_path, "ascii")
     with pytest.raises(FileNotFoundError):
         BreadthFirstChecker(formula, path, tmp_dir=tmp_path / "absent").check()
+    for source in (path, ascii_path):  # spool and counts file, counts file
+        with pytest.raises(FileNotFoundError):
+            StreamingWindowChecker(formula, source, tmp_dir=tmp_path / "absent").check()
+
+    def full_disk(self):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(StreamingWindowChecker, "_spill_file", full_disk)
+        with pytest.raises(OSError) as excinfo:
+            StreamingWindowChecker(formula, ascii_path, memory_budget=1).check()
+    assert excinfo.value.errno == errno.ENOSPC
     faults.install_plan("point=checkpoint.write,kind=enospc")
     try:
         with pytest.raises(OSError) as excinfo:
@@ -345,3 +480,44 @@ def test_counts_and_checkpoint_file_errors_keep_their_class(tmp_path):
     finally:
         faults.reset()
     assert excinfo.value.errno == errno.ENOSPC
+
+
+# -- bug 8: a non-ASCII byte in an ASCII trace must not escape check() ----------
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        "bf",
+        "streaming",
+        "hybrid",
+        "supervised-df",
+        "supervised-bf",
+        "supervised-hybrid",
+        "supervised-streaming",
+        "analyzer",
+    ],
+)
+def test_a_non_ascii_byte_is_a_malformed_trace(tmp_path, run):
+    from repro.analysis import analyze_trace
+
+    formula, path = _solved_trace(tmp_path, "ascii", pigeons=4)
+    lines = Path(path).read_bytes().split(b"\n")
+    lines[5] += b"\xff"
+    Path(path).write_bytes(b"\n".join(lines))
+    if run == "analyzer":
+        assert "T012" in {d.rule_id for d in analyze_trace(path).errors}
+        return
+    if run.startswith("supervised-"):
+        method = run.removeprefix("supervised-")
+        report = supervised_check(formula, path, method=method, policy="strict")
+    else:
+        checker_cls = {
+            "bf": BreadthFirstChecker,
+            "streaming": StreamingWindowChecker,
+            "hybrid": HybridChecker,
+        }[run]
+        report = checker_cls(formula, path).check()  # must not raise
+    assert report.failure.kind is FailureKind.MALFORMED_TRACE
+    assert report.failure.message.startswith(f"{path}: ")
+    assert "can't decode byte 0xff" in report.failure.message

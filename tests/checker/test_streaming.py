@@ -258,13 +258,16 @@ def test_chunked_counting_parity(tmp_path):
     trace = solved_trace(formula)
     path = str(tmp_path / "php.rtb")
     assert dump_binary(trace, path)
-    whole = StreamingWindowChecker(formula, path, memory_budget=100).check()
-    chunked = StreamingWindowChecker(
-        formula, path, memory_budget=100, count_chunk_size=37
-    ).check()
-    assert whole.verified and chunked.verified
-    assert whole.clauses_built == chunked.clauses_built
-    assert whole.resolutions == chunked.resolutions
+    ascii_path = str(tmp_path / "php.trace")
+    dump_ascii(trace, ascii_path)
+    for source in (path, ascii_path, trace):
+        whole = StreamingWindowChecker(formula, source, memory_budget=100).check()
+        chunked = StreamingWindowChecker(
+            formula, source, memory_budget=100, count_chunk_size=37
+        ).check()
+        assert whole.verified and chunked.verified
+        assert whole.clauses_built == chunked.clauses_built
+        assert whole.resolutions == chunked.resolutions
 
 
 # -- bounded residency --------------------------------------------------------
