@@ -188,6 +188,8 @@ class BreadthFirstChecker:
         resume_from: str | Path | None = None,
         prune_plan=None,
     ):
+        if count_chunk_size is not None and count_chunk_size < 1:
+            raise ValueError(f"count_chunk_size must be positive, got {count_chunk_size}")
         self.formula = formula
         self._source = trace_source
         # Core-first pruning (repro.analysis.graph.PrunePlan): skip learned
@@ -331,7 +333,7 @@ class BreadthFirstChecker:
             if not chunked:
                 write_count_range(handle, first_learned, max_cid + 1, counts.get)
             else:
-                chunk = self._chunk_size or max(max_cid - num_original, 1)
+                chunk = self._chunk_size
                 for low in range(first_learned, max_cid + 1, chunk):
                     high = min(low + chunk, max_cid + 1)
                     _, _, _, counts, _ = count_records(

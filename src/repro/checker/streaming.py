@@ -32,12 +32,24 @@ resident. This checker is that idea on top of the repo's BF machinery:
 * **Bounded residency, never memory-out.** Resident learned clauses are
   bounded by ``memory_budget`` (logical units, the ``--memory-window``
   budget). Like BF's meter, the budget never counts originals. When the
-  window overflows, learned clauses are *spilled* to a temp file —
-  farthest last use first, so the clauses the proof needs soonest stay
-  hot — and transparently reloaded on demand. Unlike every other
-  checker, exceeding the budget is therefore never a failure: this is
-  the supervisor's last-resort tier that trades disk traffic for a hard
+  window overflows, learned clauses are *spilled* to a temp file and
+  transparently reloaded on demand. Unlike every other checker,
+  exceeding the budget is therefore never a failure: this is the
+  supervisor's last-resort tier that trades disk traffic for a hard
   memory ceiling.
+* **Spill the clause needed latest, by expected next use.** A clause
+  entering the window (built, or reloaded) is keyed by its expected gap
+  to its next use, ``(last_use - position) / remaining_uses``: the
+  distance to its last reference, spread evenly over the uses it has
+  left. The largest gap spills first, so a clause used every few records
+  until the end of the proof stays resident, where keying by last use
+  alone would spill it first and reload it straight back. The key costs
+  nothing per use: it is computed only when a clause enters the window.
+  Ranking by exact next use instead would re-key a clause on every use,
+  which costs as much as the spills it saves. Without last uses (a prune
+  plan or chunked counting) the oldest clause spills first. A spilled
+  clause is written at the spill file's end offset and read back from
+  its own offset, one system call each.
 
 Verdicts are byte-identical to BF/DF, failure context included: the
 same build, consume and level-zero derivation code paths run, and the
@@ -48,13 +60,14 @@ Only residency management differs.
 
 from __future__ import annotations
 
+import errno
 import os
 import time
 from array import array
 from heapq import heappop, heappush
 from itertools import islice
 from pathlib import Path
-from typing import IO, BinaryIO, Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 from repro.checker.counts import (
     CountsReader,
@@ -76,7 +89,7 @@ from repro.checker.errors import (
 )
 from repro.checker.kernel import ClauseLits, engine_memory_stats, make_engine
 from repro.checker.level_zero import LevelZeroState, derive_empty_clause
-from repro.checker.memory import Deadline, MemoryMeter
+from repro.checker.memory import CLAUSE_OVERHEAD, Deadline, MemoryMeter
 from repro.checker.report import CheckReport
 from repro.checker.resolution import ResolutionError
 from repro.cnf import CnfFormula
@@ -117,6 +130,8 @@ class StreamingWindowChecker:
         deadline: Deadline | None = None,
         prune_plan=None,
     ):
+        if count_chunk_size is not None and count_chunk_size < 1:
+            raise ValueError(f"count_chunk_size must be positive, got {count_chunk_size}")
         self.formula = formula
         self._source = trace_source
         self._plan = prune_plan
@@ -145,17 +160,20 @@ class StreamingWindowChecker:
         self._remaining: dict[int, int] = {}
         self._resident_units = 0
         self._peak_resident_units = 0
-        # Retirement order: a lazy-deletion heap of (-key, cid). With last
-        # uses known (unchunked mmap pass), key is the clause's last-use
-        # stream position, so the clause needed *farthest* in the future
-        # is spilled first (Belady on exact future knowledge — last uses
-        # are read from the trace, not predicted). Without them (prune
-        # plan or chunked counting), key is -cid: oldest clause first.
+        # Retirement order: a lazy-deletion min-heap of (key, cid), keyed
+        # when a clause enters the window (see _admit). With last uses
+        # known, the key is minus the clause's expected gap to its next
+        # use, so the clause expected to be needed latest spills first.
+        # Without them (prune plan or chunked counting), the key is the
+        # cid: oldest clause first.
         self._last_use: dict[int, int] = {}
-        self._evict_heap: list[tuple[int, int]] = []
-        # Spill file: append-only raw literal arrays, cid -> (offset, nbytes).
-        self._spill_handle: IO[bytes] | None = None
+        self._position = 0  # ordinal of the record being checked: the last-use clock
+        self._evict_heap: list[tuple[float, int]] = []
+        # Spill file: append-only raw literal arrays written at
+        # _spill_end, cid -> (offset, nbytes).
+        self._spill_fd: int | None = None
         self._spill_path: str | None = None
+        self._spill_end = 0
         self._spill_index: dict[int, tuple[int, int]] = {}
         self.spills = 0
         self.reloads = 0
@@ -317,59 +335,83 @@ class StreamingWindowChecker:
 
     # -- residency management -------------------------------------------------
 
-    def _clause_units(self, clause: ClauseLits) -> int:
-        return self.meter.clause_units(len(clause))  # type: ignore[arg-type]
-
-    def _spill_file(self) -> IO[bytes]:
-        if self._spill_handle is None:
+    def _spill_file(self) -> int:
+        """The spill file's descriptor, created on the first spill."""
+        if self._spill_fd is None:
             import tempfile
 
-            fd, self._spill_path = tempfile.mkstemp(
+            self._spill_fd, self._spill_path = tempfile.mkstemp(
                 prefix="stream-spill-", dir=self._tmp_dir
             )
-            self._spill_handle = os.fdopen(fd, "wb+")
-        return self._spill_handle
+        return self._spill_fd
 
     def _close_spill(self) -> None:
-        if self._spill_handle is not None:
-            self._spill_handle.close()
-            self._spill_handle = None
+        if self._spill_fd is not None:
+            os.close(self._spill_fd)
+            self._spill_fd = None
         if self._spill_path is not None:
             os.unlink(self._spill_path)
             self._spill_path = None
 
-    def _spill(self, cid: int, clause: ClauseLits) -> None:
-        """Move a still-needed learned clause from the window to disk."""
-        blob = array("i", sorted(clause)).tobytes()
-        handle = self._spill_file()
-        handle.seek(0, os.SEEK_END)
-        offset = handle.tell()
-        handle.write(blob)
-        self._spill_index[cid] = (offset, len(blob))
-        del self._resident[cid]
-        units = self._clause_units(clause)
-        self._resident_units -= units
-        self.meter.release(units)
-        self._engine.release(clause)
-        self.spills += 1
+    def _admit(self, cid: int, clause: ClauseLits, remaining: int) -> None:
+        """Make a learned clause resident and queue it for retirement.
 
-    def _reload(self, cid: int) -> ClauseLits:
-        """Bring a spilled clause back into the window."""
-        offset, nbytes = self._spill_index.pop(cid)
-        handle = self._spill_handle
-        assert handle is not None
-        handle.seek(offset)
-        blob = handle.read(nbytes)
-        literals = array("i")
-        literals.frombytes(blob)
-        clause = self._engine.materialize(literals)
+        ``remaining`` is how many uses the clause has left. The key is
+        computed here, once per entry into the window, never per use.
+        """
         self._resident[cid] = clause
-        units = self._clause_units(clause)
+        units = len(clause) + CLAUSE_OVERHEAD  # type: ignore[arg-type]
         self._resident_units += units
         if self._resident_units > self._peak_resident_units:
             self._peak_resident_units = self._resident_units
         self.meter.allocate(units)
-        heappush(self._evict_heap, (-self._last_use.get(cid, -cid), cid))
+        last_use = self._last_use
+        key = (self._position - last_use[cid]) / remaining if last_use else cid
+        heappush(self._evict_heap, (key, cid))
+
+    def _release(self, clause: ClauseLits) -> None:
+        """Take a clause that left the window off the budget and the kernel."""
+        units = len(clause) + CLAUSE_OVERHEAD  # type: ignore[arg-type]
+        self._resident_units -= units
+        self.meter.release(units)
+        self._engine.release(clause)
+
+    def _spill(self, cid: int, clause: ClauseLits) -> None:
+        """Move a still-needed learned clause from the window to disk."""
+        blob = array("i", sorted(clause)).tobytes()
+        offset = self._spill_end
+        written = os.pwrite(self._spill_file(), blob, offset)
+        if written != len(blob):
+            raise OSError(
+                errno.EIO,
+                f"short spill write: {written} of {len(blob)} bytes",
+                self._spill_path,
+            )
+        self._spill_end = offset + written
+        self._spill_index[cid] = (offset, written)
+        del self._resident[cid]
+        self._release(clause)
+        self.spills += 1
+
+    def _reload(self, cid: int) -> ClauseLits:
+        """Bring a spilled clause back into the window.
+
+        A short read fails loudly: a clause reloaded without some of its
+        literals is a stronger clause, which could verify an invalid proof.
+        """
+        offset, nbytes = self._spill_index.pop(cid)
+        assert self._spill_fd is not None
+        blob = os.pread(self._spill_fd, nbytes, offset)
+        if len(blob) != nbytes:
+            raise OSError(
+                errno.EIO,
+                f"short spill read: {len(blob)} of {nbytes} bytes",
+                self._spill_path,
+            )
+        literals = array("i")
+        literals.frombytes(blob)
+        clause = self._engine.materialize(literals)
+        self._admit(cid, clause, self._remaining[cid])
         self.reloads += 1
         return clause
 
@@ -442,10 +484,7 @@ class StreamingWindowChecker:
             del remaining_map[cid]
             clause = self._resident.pop(cid, None)
             if clause is not None:
-                units = self._clause_units(clause)
-                self._resident_units -= units
-                self.meter.release(units)
-                self._engine.release(clause)
+                self._release(clause)
             else:
                 # Fully consumed while spilled: its bytes just become dead
                 # space in the spill file (reclaimed when the file is deleted).
@@ -468,14 +507,8 @@ class StreamingWindowChecker:
         if total_uses == 0:
             self._engine.release(clause)
             return
-        self._resident[cid] = clause
         self._remaining[cid] = total_uses
-        units = self._clause_units(clause)
-        self._resident_units += units
-        if self._resident_units > self._peak_resident_units:
-            self._peak_resident_units = self._resident_units
-        self.meter.allocate(units)
-        heappush(self._evict_heap, (-self._last_use.get(cid, -cid), cid))
+        self._admit(cid, clause, total_uses)
         self._enforce_budget()
 
     def _checking_pass(self, counts: CountsReader, spool: BinaryIO | None) -> bool:
@@ -487,11 +520,15 @@ class StreamingWindowChecker:
         deadline = self._deadline
         skip = self._plan.skip if self._plan is not None else None
         window = self._window
+        # Every record advances the clock the counting pass stamped last
+        # uses with, whichever path the records come from.
+        position = 0
         for batch in self._batches(spool):
             if deadline is not None:
                 deadline.check()
             built_before = self._clauses_built
             for record in batch:
+                position += 1
                 if type(record) is tuple:
                     cid, sources = record
                 elif isinstance(record, LearnedClause):
@@ -519,6 +556,7 @@ class StreamingWindowChecker:
                 last_cid = cid
                 if skip is not None and cid in skip:
                     continue
+                self._position = position
                 self._build_learned(cid, sources, counts)
             window.advance(
                 len(batch),
@@ -528,6 +566,7 @@ class StreamingWindowChecker:
                 spilled=len(self._spill_index),
             )
 
+        self._position = position
         check_unsat_claim(status, final_conflicts)
         final_cid = final_conflicts[0]
         self._consume_uses(final_conflicts[1:])

@@ -83,25 +83,27 @@ def iter_ascii_records(path: str | Path) -> Iterator[TraceRecord]:
                     continue
                 fields = line.split()
                 tag = fields[0]
+                record: TraceRecord | None = None
                 try:
                     if tag == "T":
-                        yield TraceHeader(int(fields[1]), int(fields[2]))
+                        record = TraceHeader(int(fields[1]), int(fields[2]))
                     elif tag == "CL":
-                        yield LearnedClause(int(fields[1]), tuple(map(int, fields[2:])))
+                        record = LearnedClause(int(fields[1]), tuple(map(int, fields[2:])))
                     elif tag == "D":
-                        yield ClauseDeletion(int(fields[1]))
+                        record = ClauseDeletion(int(fields[1]))
                     elif tag == "V":
-                        yield LevelZeroAssignment(
+                        record = LevelZeroAssignment(
                             int(fields[1]), fields[2] == "1", int(fields[3])
                         )
                     elif tag == "CONF":
-                        yield FinalConflict(int(fields[1]))
+                        record = FinalConflict(int(fields[1]))
                     elif tag == "R":
-                        yield TraceResult(fields[1])
-                    else:
-                        raise TraceError(f"line {lineno}: unknown record tag {tag!r}")
+                        record = TraceResult(fields[1])
                 except (IndexError, ValueError) as exc:
                     raise TraceError(f"line {lineno}: malformed record {line!r}") from exc
+                if record is None:
+                    raise TraceError(f"line {lineno}: unknown record tag {tag!r}")
+                yield record
         except UnicodeDecodeError as exc:
             raise TraceError(f"{path}: {exc}") from None
 

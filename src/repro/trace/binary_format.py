@@ -290,6 +290,9 @@ def scan_binary_learned(
     order and ``counts`` maps a clause ID to the number of times it is
     referenced (learned-clause sources, level-zero antecedents and final
     conflicts — the same references the checker's counting pass charges).
+    Like :func:`~repro.checker.counts.count_records`, only IDs past the
+    header's original clauses are counted: only learned clauses go to
+    the counts file.
 
     With ``spool`` (a :class:`~repro.checker.counts.SpoolWriter`) every
     decoded record is also appended to the spool, so the checking pass
@@ -303,6 +306,7 @@ def scan_binary_learned(
     num_learned = 0
     counts: dict[int, int] = {}
     counts_get = counts.get
+    low = 0  # the first counted ID: past the originals once a header arrives
     entries, flush, block_size = _spool_sink(spool)
     put = entries.append
     extend = entries.extend
@@ -379,7 +383,8 @@ def scan_binary_learned(
                                 if shift > 63:
                                     raise TraceError("varint too long")
                         src = cid - delta
-                        counts[src] = counts_get(src, 0) + 1
+                        if src >= low:
+                            counts[src] = counts_get(src, 0) + 1
                         put(src)
                     num_learned += 1
                     if cid > max_cid:
@@ -388,15 +393,18 @@ def scan_binary_learned(
                     num_vars, pos = _varint_at(buffer, pos)
                     num_clauses, pos = _varint_at(buffer, pos)
                     headers.append((num_vars, num_clauses))
+                    low = num_clauses + 1
                     extend((tag, num_vars, num_clauses))
                 elif tag == _TAG_LEVEL_ZERO:
                     packed, pos = _varint_at(buffer, pos)
                     antecedent, pos = _varint_at(buffer, pos)
-                    counts[antecedent] = counts_get(antecedent, 0) + 1
+                    if antecedent >= low:
+                        counts[antecedent] = counts_get(antecedent, 0) + 1
                     extend((tag, packed, antecedent))
                 elif tag == _TAG_FINAL_CONFLICT:
                     cid, pos = _varint_at(buffer, pos)
-                    counts[cid] = counts_get(cid, 0) + 1
+                    if cid >= low:
+                        counts[cid] = counts_get(cid, 0) + 1
                     extend((tag, cid))
                 elif tag == _TAG_DELETION:
                     # Advisory only: deletions never contribute use counts.
@@ -415,9 +423,12 @@ def scan_binary_learned(
                 # The torn record is about to be re-parsed from scratch, so
                 # what its prefix committed must be rolled back first. Only
                 # the learned branch commits mid-record: its tag, cid and
-                # count entries, then each source it counted. Tears happen
-                # at most once per chunk, so this stays off the hot path.
+                # count entries, then each source, counted if learned.
+                # Tears happen at most once per chunk, so this stays off
+                # the hot path.
                 for torn_src in entries[mark + 3 :]:
+                    if torn_src < low:
+                        continue
                     remaining = counts[torn_src] - 1
                     if remaining:
                         counts[torn_src] = remaining
@@ -654,11 +665,12 @@ def scan_mapped_learned(
     the buffer is the whole file — needs no torn-record rollback at all.
     Returns ``(headers, max_learned_cid, num_learned, counts, last_use)``.
 
-    ``count_range`` restricts ``counts`` to clause IDs in ``[low, high)``
-    (the chunked-counting mode). ``last_use`` maps each referenced clause
-    ID to the stream position (a running record ordinal) of its *last*
-    reference — the retirement signal the shifting-window checker orders
-    its evictions by; empty unless ``track_last_use``. ``spool`` is a
+    ``counts`` holds the IDs past the header's original clauses, or with
+    ``count_range`` the IDs in ``[low, high)`` (the chunked-counting
+    mode). ``last_use`` maps each counted clause ID to the stream
+    position (a running record ordinal, every record counted) of its
+    *last* reference — what the shifting-window checker keys its
+    evictions by; empty unless ``track_last_use``. ``spool`` is a
     :class:`~repro.checker.counts.SpoolWriter` that receives every
     decoded record, as in :func:`scan_binary_learned`.
     """
@@ -730,8 +742,8 @@ def scan_mapped_learned(
                     src = cid - delta
                     if low <= src < high:
                         counts[src] = counts_get(src, 0) + 1
-                    if track_last_use:
-                        last_use[src] = position
+                        if track_last_use:
+                            last_use[src] = position
                     put(src)
                 num_learned += 1
                 if cid > max_cid:
@@ -740,21 +752,23 @@ def scan_mapped_learned(
                 num_vars, pos = _varint_at(view, pos)
                 num_clauses, pos = _varint_at(view, pos)
                 headers.append((num_vars, num_clauses))
+                if count_range is None:
+                    low = num_clauses + 1
                 extend((tag, num_vars, num_clauses))
             elif tag == _TAG_LEVEL_ZERO:
                 packed, pos = _varint_at(view, pos)
                 antecedent, pos = _varint_at(view, pos)
                 if low <= antecedent < high:
                     counts[antecedent] = counts_get(antecedent, 0) + 1
-                if track_last_use:
-                    last_use[antecedent] = position
+                    if track_last_use:
+                        last_use[antecedent] = position
                 extend((tag, packed, antecedent))
             elif tag == _TAG_FINAL_CONFLICT:
                 cid, pos = _varint_at(view, pos)
                 if low <= cid < high:
                     counts[cid] = counts_get(cid, 0) + 1
-                if track_last_use:
-                    last_use[cid] = position
+                    if track_last_use:
+                        last_use[cid] = position
                 extend((tag, cid))
             elif tag == _TAG_DELETION:
                 # Advisory only: deletions never contribute use counts.

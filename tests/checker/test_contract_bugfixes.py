@@ -20,6 +20,9 @@ Each test pins one historical bug:
   checker let it escape from an ASCII trace until it shared BF's wrapper.
 * a non-ASCII byte in an ASCII trace escaped every trace checker and the
   supervisor as ``UnicodeDecodeError``.
+* a non-positive ``count_chunk_size`` failed a valid proof: -1 counted
+  nothing (``unknown-clause``) and 0 raised ``range() arg 3 must not be
+  zero`` out of the streaming checker's ``check()``.
 
 The trace checks the checkers share (header, clause count, UNSAT claim)
 must fail with the same kind, message and context in every checker.
@@ -521,3 +524,25 @@ def test_a_non_ascii_byte_is_a_malformed_trace(tmp_path, run):
     assert report.failure.kind is FailureKind.MALFORMED_TRACE
     assert report.failure.message.startswith(f"{path}: ")
     assert "can't decode byte 0xff" in report.failure.message
+
+
+# -- bug 9: a non-positive count_chunk_size must be rejected up front -----------
+
+
+@pytest.mark.parametrize("chunk_size", [0, -1])
+def test_a_non_positive_count_chunk_size_is_rejected(tmp_path, chunk_size):
+    formula, path = _solved_trace(tmp_path, "binary")
+    for checker_cls in (BreadthFirstChecker, StreamingWindowChecker):
+        with pytest.raises(ValueError, match="count_chunk_size must be positive"):
+            checker_cls(formula, path, count_chunk_size=chunk_size)
+    for method in ("bf", "streaming"):
+        with pytest.raises(ValueError, match="count_chunk_size must be positive"):
+            supervised_check(formula, path, method=method, count_chunk_size=chunk_size)
+
+
+def test_a_count_chunk_size_of_one_still_verifies(tmp_path):
+    formula, path = _solved_trace(tmp_path, "binary")
+    for checker_cls in (BreadthFirstChecker, StreamingWindowChecker):
+        assert checker_cls(formula, path, count_chunk_size=1).check().verified
+    for method in ("bf", "streaming"):
+        assert supervised_check(formula, path, method=method, count_chunk_size=1).verified

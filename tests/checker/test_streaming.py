@@ -343,6 +343,82 @@ def test_budget_below_the_formula_materializes_only_reloads(tmp_path, monkeypatc
     assert len(calls) == report.memory["reloaded_clauses"]
 
 
+def hub_trace(path):
+    """A proof with one hub clause used by every step until the very end.
+
+    Originals: ``(x | z)``, ``(-z)``, ``(-x | y_i)`` for i = 1..60 and
+    ``(-y_1 | ... | -y_60 | -x)``. Learned: the hub ``H = (x)`` from the
+    first two, ``L_i = (y_i)`` from ``(-x | y_i)`` and ``H``, and
+    ``F = (-x)`` from the last original and every ``L_i``. A level-zero
+    record assigns ``x`` with antecedent ``H``, the final conflict is
+    ``F``. Each ``L_i`` is used once, by ``F``; ``H`` is used 61 times and
+    last of all, so it has the latest last use but the shortest expected
+    gap to its next use. Returns ``(formula, trace, hub_cid)``.
+    """
+    from repro.cnf import CnfFormula
+    from repro.trace.records import TraceHeader, assemble_trace
+
+    x, z, ys = 1, 2, range(3, 63)
+    originals = [[x, z], [-z]] + [[-x, y] for y in ys] + [[-y for y in ys] + [-x]]
+    formula = CnfFormula(62, originals)
+    hub = len(originals) + 1
+    lemmas = [LearnedClause(hub, (1, 2))]
+    lemmas += [LearnedClause(hub + i, (2 + i, hub)) for i in range(1, 61)]
+    final = hub + 61
+    lemmas.append(LearnedClause(final, (len(originals),) + tuple(range(hub + 1, final))))
+    records = [TraceHeader(62, len(originals)), *lemmas]
+    records += [LevelZeroAssignment(x, True, hub), FinalConflict(final), TraceResult("UNSAT")]
+    trace = assemble_trace(records)
+    assert dump_binary(trace, path)
+    return formula, trace, hub
+
+
+def test_a_clause_used_until_the_end_stays_resident(tmp_path, monkeypatch):
+    """The window spills the clause expected to be needed latest: a hub
+    used by every step stays resident, even though its last use is the
+    latest of all."""
+    path = str(tmp_path / "hub.rtb")
+    formula, trace, hub = hub_trace(path)
+    assert BreadthFirstChecker(formula, path).check().verified
+    spilled = []
+    spill = StreamingWindowChecker._spill
+
+    def recording(self, cid, clause):
+        spilled.append(cid)
+        spill(self, cid, clause)
+
+    monkeypatch.setattr(StreamingWindowChecker, "_spill", recording)
+    for source in (path, trace):
+        spilled.clear()
+        report = StreamingWindowChecker(formula, source, memory_budget=30).check()
+        assert report.verified
+        assert report.memory["spilled_clauses"] == len(spilled) > 0
+        assert spilled.count(hub) <= 1
+
+
+@pytest.mark.parametrize(
+    "call,message", [("pread", "short spill read"), ("pwrite", "short spill write")]
+)
+def test_a_short_spill_read_or_write_fails_loudly(tmp_path, monkeypatch, call, message):
+    """A clause reloaded short would be a stronger clause, which could make
+    an invalid proof verify: a short read or write raises instead."""
+    import os
+
+    path = str(tmp_path / "hub.rtb")
+    formula, _, _ = hub_trace(path)
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    real = getattr(os, call)
+    if call == "pread":
+        monkeypatch.setattr(os, "pread", lambda fd, n, offset: real(fd, n, offset)[:-1])
+    else:
+        monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: real(fd, data[:-1], offset))
+    checker = StreamingWindowChecker(formula, path, memory_budget=30, tmp_dir=scratch)
+    with pytest.raises(OSError, match=message):
+        checker.check()
+    assert os.listdir(scratch) == []
+
+
 @pytest.mark.parametrize("bad_source", [0, -2])
 def test_nonpositive_source_is_an_unknown_clause(tmp_path, bad_source):
     """IDs 0 and below name no original clause: they must not index round
@@ -543,9 +619,12 @@ def test_mapped_scan_counts_match_a_manual_tally(tmp_path):
 
     manual = {}
     learned = []
+    num_original = trace.header.num_original_clauses
 
     def tally(cid):
-        manual[cid] = manual.get(cid, 0) + 1
+        # Only learned clauses are counted: IDs past the header's originals.
+        if cid > num_original:
+            manual[cid] = manual.get(cid, 0) + 1
 
     for record in iter_binary_records(path):
         if isinstance(record, LearnedClause):

@@ -5,23 +5,27 @@ including ones whose records straddle chunk boundaries — it must produce
 byte-identical record streams, the fused :func:`scan_binary_learned` must
 agree with those records on every derived quantity, and the raw learned
 iterator must carry the same payloads without the dataclass wrappers.
+Every counting scanner counts learned clauses only, and they all agree.
 """
 
 import pytest
 
 from repro.cnf import CnfFormula
 from repro.checker import BreadthFirstChecker
+from repro.checker.counts import count_records
 from repro.solver import solve_formula
 from repro.trace import InMemoryTraceWriter, TraceError
 from repro.trace.binary_format import (
     DEFAULT_CHUNK_SIZE,
+    MappedBinaryTrace,
     _decode_batched,
     iter_binary_records,
     iter_binary_records_raw,
     scan_binary_learned,
+    scan_mapped_learned,
 )
-from repro.trace.io import open_trace_writer
-from repro.trace.records import LearnedClause, LevelZeroAssignment
+from repro.trace.io import iter_trace_records, load_trace, open_trace_writer
+from repro.trace.records import LearnedClause, LevelZeroAssignment, TraceHeader
 
 from tests.conftest import pigeonhole
 from tests.trace.reference_decoder import iter_binary_records_unbatched
@@ -93,17 +97,96 @@ def test_fused_scan_agrees_with_record_stream(sample_trace_path, chunk_size):
     assert num_learned == len(learned)
     assert max_cid == max(rec.cid for rec in learned)
 
+    # Only learned clauses are counted: IDs past the header's originals.
+    (num_original,) = {num for _, num in headers}
     expected: dict[int, int] = {}
+
+    def tally(cid):
+        if cid > num_original:
+            expected[cid] = expected.get(cid, 0) + 1
+
     for rec in learned:
         for src in rec.sources:
-            expected[src] = expected.get(src, 0) + 1
+            tally(src)
     for rec in records:
         if isinstance(rec, LevelZeroAssignment):
-            expected[rec.antecedent] = expected.get(rec.antecedent, 0) + 1
+            tally(rec.antecedent)
     for rec in records:
         if hasattr(rec, "cid") and not isinstance(rec, LearnedClause):
-            expected[rec.cid] = expected.get(rec.cid, 0) + 1
+            tally(rec.cid)
     assert counts == expected
+
+
+def _reference_tally(path):
+    """Learned-clause use counts and last uses, tallied from the records."""
+    counts: dict[int, int] = {}
+    last_use: dict[int, int] = {}
+    num_original = None
+    for position, rec in enumerate(iter_binary_records_unbatched(path), start=1):
+        if isinstance(rec, TraceHeader):
+            num_original = rec.num_original_clauses
+            continue
+        if isinstance(rec, LearnedClause):
+            refs = rec.sources
+        elif isinstance(rec, LevelZeroAssignment):
+            refs = (rec.antecedent,)
+        else:
+            refs = (rec.cid,) if hasattr(rec, "cid") else ()
+        for ref in refs:
+            if ref > num_original:
+                counts[ref] = counts.get(ref, 0) + 1
+                last_use[ref] = position
+    return num_original, counts, last_use
+
+
+def _ascii_copy(path, tmp_path):
+    ascii_path = tmp_path / "sample.trace"
+    with open_trace_writer(ascii_path, fmt="ascii") as writer:
+        for rec in iter_binary_records(path):
+            if isinstance(rec, TraceHeader):
+                writer.header(rec.num_vars, rec.num_original_clauses)
+            elif isinstance(rec, LearnedClause):
+                writer.learned_clause(rec.cid, rec.sources)
+            elif isinstance(rec, LevelZeroAssignment):
+                writer.level_zero(rec.var, rec.value, rec.antecedent)
+            elif hasattr(rec, "cid"):
+                writer.final_conflict(rec.cid)
+            else:
+                writer.result(rec.status)
+    return ascii_path
+
+
+@pytest.mark.parametrize(
+    "scanner",
+    ["chunked-1", "chunked-3", "chunked-7", "chunked-default", "mapped", "ascii", "in-memory"],
+)
+def test_every_scanner_counts_learned_clauses_only(sample_trace_path, tmp_path, scanner):
+    """Counts and last uses agree across the scanners and hold learned IDs
+    only. Chunk sizes 1, 3 and 7 tear records inside their sources, so the
+    chunked scanner must roll back exactly what it counted."""
+    num_original, expected_counts, expected_last_use = _reference_tally(sample_trace_path)
+    assert min(expected_counts) > num_original
+    last_use = None
+    if scanner.startswith("chunked-"):
+        size = scanner.removeprefix("chunked-")
+        chunk_size = DEFAULT_CHUNK_SIZE if size == "default" else int(size)
+        _, _, _, counts = scan_binary_learned(sample_trace_path, chunk_size=chunk_size)
+    elif scanner == "mapped":
+        with MappedBinaryTrace(sample_trace_path) as mapped:
+            *_, counts, last_use = scan_mapped_learned(mapped.view, track_last_use=True)
+    else:
+        ascii_path = _ascii_copy(sample_trace_path, tmp_path)
+        records = (
+            iter_trace_records(ascii_path)
+            if scanner == "ascii"
+            else load_trace(ascii_path).records()
+        )
+        *_, counts, last_use = count_records(
+            records, num_original, track_last_use=True
+        )
+    assert counts == expected_counts
+    if last_use is not None:
+        assert last_use == expected_last_use
 
 
 def test_fused_scan_rejects_truncated_trace(sample_trace_path, tmp_path):

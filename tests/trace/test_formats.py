@@ -108,11 +108,20 @@ def test_ascii_rejects_garbage(tmp_path):
         list(iter_trace_records(path))
 
 
+def test_ascii_unknown_tag_keeps_its_own_message(tmp_path):
+    path = tmp_path / "bad.trace"
+    path.write_text("T 1 2\nXX 3\nR UNSAT\n")
+    with pytest.raises(TraceError) as excinfo:
+        list(iter_trace_records(path))
+    assert str(excinfo.value) == "line 2: unknown record tag 'XX'"
+
+
 def test_ascii_rejects_truncated_record(tmp_path):
     path = tmp_path / "bad.trace"
     path.write_text("T 1\n")
-    with pytest.raises(TraceError):
+    with pytest.raises(TraceError) as excinfo:
         list(iter_trace_records(path))
+    assert str(excinfo.value) == "line 1: malformed record 'T 1'"
 
 
 def test_binary_rejects_bad_magic(tmp_path):
