@@ -316,16 +316,15 @@ class BreadthFirstChecker:
                     self._source, spool=spool
                 )
             self._spool_path = spool.path
-            num_original = check_headers(formula_clauses, headers)
-            self._total_learned = num_learned
         else:
-            headers, max_cid, self._total_learned, counts, _ = count_records(
+            headers, max_cid, num_learned, counts, _ = count_records(
                 self._records(),
                 formula_clauses,
                 count_range=(0, 0) if chunked else None,
                 deadline=self._deadline,
             )
-            num_original = check_headers(formula_clauses, headers)
+        num_original = check_headers(formula_clauses, headers)
+        self._total_learned = num_learned
         self._num_original = num_original
         max_cid = max(max_cid, num_original)
         first_learned = num_original + 1

@@ -132,6 +132,8 @@ class StreamingWindowChecker:
     ):
         if count_chunk_size is not None and count_chunk_size < 1:
             raise ValueError(f"count_chunk_size must be positive, got {count_chunk_size}")
+        if memory_budget is not None and memory_budget < 0:
+            raise ValueError(f"memory_budget must be non-negative, got {memory_budget}")
         self.formula = formula
         self._source = trace_source
         self._plan = prune_plan
@@ -309,13 +311,12 @@ class StreamingWindowChecker:
                     spool=spool,
                 )
             self._spool_path = spool.path
-            num_original = check_headers(formula_clauses, headers)
-            self._total_learned = num_learned
         else:
-            headers, max_cid, self._total_learned, counts, last_use = count_records(
+            headers, max_cid, num_learned, counts, last_use = count_records(
                 self._records(), formula_clauses, track_last_use=True, deadline=self._deadline
             )
-            num_original = check_headers(formula_clauses, headers)
+        num_original = check_headers(formula_clauses, headers)
+        self._total_learned = num_learned
         self._num_original = num_original
         self._last_use = last_use
         max_cid = max(max_cid, num_original)

@@ -39,6 +39,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any, Mapping
 
 from repro import faults
 from repro.checker.breadth_first import BreadthFirstChecker
@@ -83,6 +84,29 @@ LADDERS: dict[str, tuple[str, ...]] = {
 #: does. Overridable per run via ``streaming_threshold_bytes`` (0 forces
 #: streaming eligibility for any file, ``None`` disables the rewrite).
 DEFAULT_STREAMING_THRESHOLD = 64 * 1024 * 1024
+
+
+#: The lowest value each numeric option accepts (0 or 1); unset (``None``)
+#: always passes. ``repro check`` and ``repro submit``, the supervisor and
+#: the service scheduler all check values against this one table, so a
+#: value out of range fails before any rung runs.
+OPTION_MINIMUMS: dict[str, int] = {
+    "timeout": 0,
+    "memory_limit": 0,
+    "memory_window": 0,
+    "window_records": 1,
+    "count_chunk_size": 1,
+    "checkpoint_every": 1,
+}
+
+
+def check_option_values(options: Mapping[str, Any]) -> None:
+    """Raise ``ValueError`` naming the first option below its minimum."""
+    for name, minimum in OPTION_MINIMUMS.items():
+        value = options.get(name)
+        if value is not None and value < minimum:
+            bound = "positive" if minimum else "non-negative"
+            raise ValueError(f"{name} must be {bound}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -159,7 +183,7 @@ class SupervisorConfig:
     window_records: int | None = None
     streaming_threshold_bytes: int | None = DEFAULT_STREAMING_THRESHOLD
     checkpoint_path: str | None = None  # bf only
-    checkpoint_every: int = 0  # bf only: learned builds between snapshots
+    checkpoint_every: int | None = None  # bf only: learned builds between snapshots
     resume_from: str | None = None  # bf only
     tmp_dir: str | None = None
     # Core-first pruning: compute a static PrunePlan from the trace once
@@ -206,6 +230,7 @@ class CheckSupervisor:
             setattr(config, key, value)
         if isinstance(config.policy, str):
             config.policy = CheckPolicy.parse(config.policy)
+        check_option_values(vars(config))
         self.config = config
         self.attempts: list[Attempt] = []
         self._loaded_trace: Trace | None = None
@@ -378,7 +403,7 @@ class CheckSupervisor:
                 count_chunk_size=config.count_chunk_size,
                 tmp_dir=config.tmp_dir,
                 checkpoint_path=config.checkpoint_path,
-                checkpoint_every=config.checkpoint_every,
+                checkpoint_every=config.checkpoint_every or 0,
                 resume_from=config.resume_from,
                 **common,
             )

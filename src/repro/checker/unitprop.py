@@ -18,9 +18,30 @@ two literals are valid watches and nothing needs undoing between calls.
 Removed clauses are tombstoned in :attr:`UnitPropagator.clauses`; their
 watch entries are dropped when propagation next meets them.
 
+Propagation is depth-first: a stack, not a FIFO queue. The assumptions
+go on in the order given, the first on top and the database's unit
+clauses beneath them, and each newly implied literal is processed next,
+before the remaining assumptions. A conflict
+does not depend on the order literals are processed in, but the work to
+reach it does: the clausal checkers pass a lemma's literals in proof
+order, solvers write the asserting literal first, so the search starts
+where the solver's own conflict did and follows its implications before
+scanning the other assumptions' watch lists.
+
 The assignment is a generation-stamp buffer indexed directly by literal,
 in the resolution kernel's layout (negative literals index from the tail),
 so the hot loop does no ``abs()``; bumping the generation resets it.
+
+:meth:`UnitPropagator.propagate_tracked` collects the conflict's cone by
+one backward walk of the trail: the reasons map, filled in assignment
+order, is the trail of implied literals, and a second literal-indexed
+stamp buffer marks the true literals the cone needs. Assignment order is
+topological, so one reverse pass takes every reason the conflict uses.
+Which reasons those are depends on propagation order.
+
+The literal-occurrence index only the RAT check reads is built on the
+first :meth:`UnitPropagator.occurrences` call; until then adding a clause
+does not maintain it, so DRUP proofs never pay for it.
 """
 
 from __future__ import annotations
@@ -41,14 +62,16 @@ class UnitPropagator:
         #: Clause literals by index (duplicates dropped, watched pair first);
         #: ``None`` once removed. Indices are never reused.
         self.clauses: list[list[int] | None] = []
-        # Both buffers are indexed by literal: +v at [v], -v at [-v], which
+        # The buffers are indexed by literal: +v at [v], -v at [-v], which
         # is slot len - v. With len == 2 * num_vars + 2 the halves never meet.
         self._watches: list[list[int]] = [[], []]
         self._stamps: list[int] = [0, 0]
+        self._seen: list[int] = [0, 0]  # cone marks, stamped like _stamps
         self._gen = 0
         self._units: set[int] = set()
         self._empty: set[int] = set()
-        self._occurrences: dict[int, list[int]] = {}
+        # Built by the first occurrences() call, maintained from then on.
+        self._occurrences: dict[int, list[int]] | None = None
         self.grow(num_vars)
 
     def grow(self, num_vars: int) -> None:
@@ -63,6 +86,7 @@ class UnitPropagator:
         self._watches = watches
         # Stamps only matter within one call, and no call grows mid-way.
         self._stamps = [0] * (2 * num_vars + 2)
+        self._seen = [0] * (2 * num_vars + 2)
         self.num_vars = num_vars
 
     def add_clause(self, literals: Sequence[int]) -> int:
@@ -82,21 +106,29 @@ class UnitPropagator:
         else:
             self._empty.add(index)
         occurrences = self._occurrences
-        for lit in clause:
-            occurrences.setdefault(lit, []).append(index)
+        if occurrences is not None:
+            for lit in clause:
+                occurrences.setdefault(lit, []).append(index)
         return index
 
     def occurrences(self, lit: int) -> Sequence[int]:
-        """Indices of live clauses containing ``lit``.
+        """Indices of live clauses containing ``lit``, in index order.
 
         The RAT check enumerates resolution partners through this index.
-        Removal leaves its entries behind; they are purged here, as the
-        index is read. Callers that remove clauses while iterating should
-        still skip ``None`` slots in :attr:`clauses`.
+        The first call builds it from the live clauses. Removal leaves its
+        entries behind; they are purged here, as the index is read.
+        Callers that remove clauses while iterating should still skip
+        ``None`` slots in :attr:`clauses`.
         """
         clauses = self.clauses
-        live = [index for index in self._occurrences.get(lit, ()) if clauses[index] is not None]
-        self._occurrences[lit] = live
+        occurrences = self._occurrences
+        if occurrences is None:
+            occurrences = self._occurrences = {}
+            for index, clause in enumerate(clauses):
+                for other in clause or ():
+                    occurrences.setdefault(other, []).append(index)
+        live = [index for index in occurrences.get(lit, ()) if clauses[index] is not None]
+        occurrences[lit] = live
         return live
 
     def remove_clause(self, index: int) -> None:
@@ -140,7 +172,8 @@ class UnitPropagator:
         """The propagation loop; ``None`` without a conflict, else its roots.
 
         When ``reasons`` is given, it receives the implying clause of every
-        propagated literal, and the roots are the clauses that clash.
+        propagated literal in assignment order (the trail the cone walk
+        reads), and the roots are the clauses that clash.
         """
         if self._empty:
             return [min(self._empty)]
@@ -152,27 +185,34 @@ class UnitPropagator:
         stamps = self._stamps
         gen = self._gen = self._gen + 1
         clauses = self.clauses
-        trail: list[int] = []
-        for lit in assumptions:
+        # Pending true literals, popped from the end: the first assumption
+        # on top, the database's units under the assumptions.
+        stack: list[int] = []
+        for lit in reversed(assumptions):
             if stamps[lit] != gen:
                 if stamps[-lit] == gen:
                     return []
                 stamps[lit] = gen
-                trail.append(lit)
+                stack.append(lit)
+        units: list[int] = []
         for index in self._units:
             lit = clauses[index][0]  # type: ignore[index]
             if stamps[lit] != gen:
                 if stamps[-lit] == gen:
                     return [index]  # the cone walk adds the reason of -lit
                 stamps[lit] = gen
-                trail.append(lit)
+                units.append(lit)
                 if reasons is not None:
                     reasons[lit] = index
+        if units:
+            units.reverse()  # the first unit uppermost
+            stack[:0] = units
 
         watches = self._watches
-        enqueue = trail.append
-        for true_lit in trail:  # grows while iterated: the propagation queue
-            false_lit = -true_lit
+        push = stack.append
+        pop = stack.pop
+        while stack:
+            false_lit = -pop()
             watching = watches[false_lit]
             kept = 0
             for position, index in enumerate(watching):
@@ -200,7 +240,7 @@ class UnitPropagator:
                             del watching[kept : position + 1]
                             return [index]
                         stamps[other] = gen
-                        enqueue(other)
+                        push(other)
                         if reasons is not None:
                             reasons[other] = index
                     continue
@@ -209,20 +249,26 @@ class UnitPropagator:
             del watching[kept:]
         return None
 
-    def _conflict_cone(
-        self, roots: Iterable[int], reasons: dict[int, int]
-    ) -> list[int]:
-        """Transitive reason closure of ``roots`` over the reason graph."""
+    def _conflict_cone(self, roots: list[int], reasons: dict[int, int]) -> list[int]:
+        """The reason closure of ``roots``, by one backward walk of the trail.
+
+        ``seen`` marks the true literals some cone clause needs; walking
+        ``reasons`` from the last assignment back, every marked literal's
+        reason joins the cone and marks its own literals in turn. A reason
+        was complete before its literal was assigned, so nothing it marks
+        lies ahead of the walk.
+        """
         clauses = self.clauses
-        cone: set[int] = set()
-        stack = list(roots)
-        while stack:
-            index = stack.pop()
-            if index in cone:
-                continue
-            cone.add(index)
-            for lit in clauses[index] or ():
-                reason = reasons.get(-lit)
-                if reason is not None and reason not in cone:
-                    stack.append(reason)
-        return sorted(cone)
+        seen = self._seen
+        gen = self._gen
+        cone = list(roots)
+        for index in roots:
+            for lit in clauses[index]:  # type: ignore[union-attr]
+                seen[-lit] = gen
+        for true_lit, index in reversed(reasons.items()):
+            if seen[true_lit] == gen:
+                cone.append(index)
+                for lit in clauses[index]:  # type: ignore[union-attr]
+                    seen[-lit] = gen
+        cone.sort()
+        return cone

@@ -20,7 +20,7 @@ import json
 import sys
 
 from repro.checker import DepthFirstChecker, check_model, supervised_check
-from repro.checker.supervisor import LADDERS
+from repro.checker.supervisor import LADDERS, OPTION_MINIMUMS
 from repro.cnf import parse_dimacs_file
 from repro.core_extract import iterate_core
 from repro.solver import Solver, SolverConfig
@@ -99,21 +99,15 @@ def solve_main(argv: list[str] | None = None) -> int:
     return 0 if result.status != "UNKNOWN" else 1
 
 
-#: Lowest accepted value per numeric check flag (argparse dest). Anything
-#: below is a usage error here, not a ValueError inside a checker or a
-#: failed job inside a service worker.
-_FLAG_MINIMUMS = {
-    "timeout": 0,
-    "mem_limit": 0,
-    "memory_window": 0,
-    "window_records": 1,
-    "checkpoint_every": 1,
-}
-
-
 def _check_flag_minimums(parser, args) -> None:
-    """``parser.error`` (exit 2) on any numeric flag below its minimum."""
-    for dest, minimum in _FLAG_MINIMUMS.items():
+    """``parser.error`` (exit 2) on any numeric flag below its minimum.
+
+    The minimums are the supervisor's (:data:`OPTION_MINIMUMS`), so a
+    value rejected here is never a ValueError inside a checker or a
+    failed job inside a service worker.
+    """
+    for name, minimum in OPTION_MINIMUMS.items():
+        dest = "mem_limit" if name == "memory_limit" else name
         value = getattr(args, dest, None)
         if value is not None and value < minimum:
             flag = "--" + dest.replace("_", "-")
@@ -457,7 +451,7 @@ def check_main(argv: list[str] | None = None) -> int:
             formula,
             args.proof,
             checkpoint_path=args.checkpoint,
-            checkpoint_every=args.checkpoint_every or 0,
+            checkpoint_every=args.checkpoint_every,
             resume_from=args.resume,
             **options,
         )

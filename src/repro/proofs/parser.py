@@ -36,12 +36,7 @@ from typing import IO, Iterator, Sequence
 
 from repro import faults
 from repro.checker.errors import CheckFailure, FailureKind
-from repro.trace.binary_format import (
-    MAGIC as TRACE_MAGIC,
-    _varint_at,
-    encode_varint,
-)
-from repro.trace.records import TraceError
+from repro.trace.binary_format import MAGIC as TRACE_MAGIC, encode_varint
 
 FP_PARSE = faults.register_fault_point(
     "proofs.parse",
@@ -239,7 +234,8 @@ def decode_proof_batch(
     append = steps.append
     end = len(view)
     try:
-        while len(steps) < max_steps and pos < end:
+        while max_steps > 0 and pos < end:
+            max_steps -= 1
             step_start = pos
             tag = view[pos]
             pos += 1
@@ -254,27 +250,43 @@ def decode_proof_batch(
                     offset=step_start,
                 )
             literals: list[int] = []
+            lit_append = literals.append
             while True:
-                if pos >= end:
-                    raise CheckFailure(
-                        FailureKind.MALFORMED_PROOF,
-                        "proof ends inside a step (missing terminating 0)",
-                        offset=step_start,
-                    )
-                value, pos = _varint_at(view, pos)
-                if value == 0:
+                # The varint is inlined; failures name its first byte.
+                start = pos
+                value = view[pos]
+                pos += 1
+                if value & 0x80:
+                    value &= 0x7F
+                    shift = 7
+                    while True:
+                        byte = view[pos]
+                        pos += 1
+                        value |= (byte & 0x7F) << shift
+                        if not byte & 0x80:
+                            break
+                        shift += 7
+                        if shift > 63:
+                            raise CheckFailure(
+                                FailureKind.MALFORMED_PROOF,
+                                "varint too long",
+                                offset=start,
+                            )
+                if not value:
                     break
-                literals.append(-(value >> 1) if value & 1 else value >> 1)
+                lit_append(-(value >> 1) if value & 1 else value >> 1)
             append((kind, literals))
     except IndexError:
+        if start >= end:
+            raise CheckFailure(
+                FailureKind.MALFORMED_PROOF,
+                "proof ends inside a step (missing terminating 0)",
+                offset=step_start,
+            ) from None
         raise CheckFailure(
             FailureKind.MALFORMED_PROOF,
             "truncated varint at end of proof",
-            offset=pos,
-        ) from None
-    except TraceError as exc:
-        raise CheckFailure(
-            FailureKind.MALFORMED_PROOF, str(exc), offset=pos
+            offset=start,
         ) from None
     return steps, pos
 

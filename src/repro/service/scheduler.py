@@ -32,6 +32,7 @@ from pathlib import Path
 
 from repro import faults
 from repro.checker.report import REPORT_SCHEMA_VERSION, CheckReport
+from repro.checker.supervisor import check_option_values
 
 from repro.service.client import ServiceClient
 from repro.service.jobs import Job, fsync_dir
@@ -340,6 +341,7 @@ class Scheduler:
         unknown = sorted(set(options) - ALLOWED_JOB_OPTIONS)
         if unknown:
             raise ValueError(f"unknown job option(s): {', '.join(unknown)}")
+        check_option_values(options)
         return options
 
     def _write_result(self, job: Job, report: CheckReport) -> str | None:

@@ -23,6 +23,12 @@ Each test pins one historical bug:
 * a non-positive ``count_chunk_size`` failed a valid proof: -1 counted
   nothing (``unknown-clause``) and 0 raised ``range() arg 3 must not be
   zero`` out of the streaming checker's ``check()``.
+* option values were checked only when a rung that reads them was built:
+  ``count_chunk_size=-1`` passed a DF ladder unread, or escaped as a
+  ``ValueError`` mid-ladder once DF ran out of memory, and a negative
+  ``memory_window`` ran the streaming checker with a negative budget.
+* a failed counting pass reported ``total_learned`` 0 from a binary trace
+  but the full count from an ASCII or in-memory one.
 
 The trace checks the checkers share (header, clause count, UNSAT claim)
 must fail with the same kind, message and context in every checker.
@@ -37,12 +43,14 @@ import pytest
 
 from repro.checker import (
     BreadthFirstChecker,
+    CheckSupervisor,
     DepthFirstChecker,
     FailureKind,
     HybridChecker,
     StreamingWindowChecker,
     supervised_check,
 )
+from repro.checker.supervisor import OPTION_MINIMUMS
 from repro.cnf import CnfFormula
 from repro.trace import (
     AsciiTraceWriter,
@@ -546,3 +554,64 @@ def test_a_count_chunk_size_of_one_still_verifies(tmp_path):
         assert checker_cls(formula, path, count_chunk_size=1).check().verified
     for method in ("bf", "streaming"):
         assert supervised_check(formula, path, method=method, count_chunk_size=1).verified
+
+
+# -- bug 10: option values are checked before any rung runs ----------------------
+
+
+@pytest.mark.parametrize(
+    "options,message",
+    [
+        (
+            {"method": "df", "policy": "fallback", "count_chunk_size": -1},
+            "count_chunk_size must be positive, got -1",
+        ),
+        (
+            {"method": "df", "policy": "fallback", "count_chunk_size": -1, "memory_limit": 10},
+            "count_chunk_size must be positive, got -1",
+        ),
+        ({"method": "streaming", "memory_window": -5}, "memory_window must be non-negative, got -5"),
+    ],
+    ids=["df-fallback", "df-memory-out", "streaming"],
+)
+def test_an_out_of_range_option_fails_before_any_rung_runs(
+    tmp_path, monkeypatch, options, message
+):
+    formula, path = _solved_trace(tmp_path, "binary")
+    built: list[str] = []
+    monkeypatch.setattr(CheckSupervisor, "_build_checker", lambda self, method: built.append(method))
+    with pytest.raises(ValueError) as excinfo:
+        supervised_check(formula, path, **options)
+    assert str(excinfo.value) == message
+    assert built == []
+
+
+@pytest.mark.parametrize("name", sorted(OPTION_MINIMUMS))
+def test_every_option_minimum_is_enforced_by_the_supervisor(tmp_path, name):
+    formula, path = _solved_trace(tmp_path, "binary")
+    minimum = OPTION_MINIMUMS[name]
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        CheckSupervisor(formula, path, method="bf", **{name: minimum - 1})
+    CheckSupervisor(formula, path, method="bf", **{name: minimum})  # accepted
+
+
+def test_a_negative_memory_budget_is_rejected(tmp_path):
+    formula, path = _solved_trace(tmp_path, "binary")
+    with pytest.raises(ValueError, match="memory_budget must be non-negative, got -5"):
+        StreamingWindowChecker(formula, path, memory_budget=-5)
+    assert StreamingWindowChecker(formula, path, memory_budget=0).check().verified
+
+
+# -- bug 11: a failed counting pass reports no learned clauses in any encoding ---
+
+
+@pytest.mark.parametrize("encoding", ["binary", "ascii", "in-memory"])
+@pytest.mark.parametrize(
+    "checker", ["BreadthFirstChecker", "HybridChecker", "StreamingWindowChecker"]
+)
+def test_a_failed_counting_pass_reports_no_learned_clauses(tmp_path, checker, encoding):
+    formula, records = _php_records()
+    source = _sources(tmp_path, records[1:])[encoding]
+    report = _check(checker, formula, source)
+    assert report.failure.kind is FailureKind.BAD_HEADER
+    assert report.total_learned == 0

@@ -7,7 +7,9 @@ engines to propagate random assumptions after every step. They must agree
 on conflict, and every cone ``propagate_tracked`` returns must name only
 live clauses that, loaded alone into a fresh reference engine under the
 same assumptions, still conflict: backward DRAT marking is sound only if
-the cone reproduces the conflict by itself.
+the cone reproduces the conflict by itself. The cone, collected by one
+backward walk of the trail, must also equal a depth-first search for the
+reason closure over the same call's reasons.
 """
 
 from hypothesis import given, settings
@@ -126,3 +128,77 @@ def test_assumptions_beyond_num_vars_grow_the_engine():
     assert engine.num_vars >= 9
     engine.add_clause([-9, -2])
     assert engine.propagate([9, 1])
+
+
+def _dfs_cone(clauses, roots, reasons):
+    """The reason closure as a depth-first search: the trail walk's oracle."""
+    cone: set[int] = set()
+    stack = list(roots)
+    while stack:
+        index = stack.pop()
+        if index in cone:
+            continue
+        cone.add(index)
+        for lit in clauses[index] or ():
+            reason = reasons.get(-lit)
+            if reason is not None and reason not in cone:
+                stack.append(reason)
+    return sorted(cone)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.lists(literals, min_size=2, max_size=4), max_size=25),
+    st.lists(literals, max_size=3),
+    st.lists(st.permutations(range(1, MAX_VAR + 1)), min_size=1, max_size=4),
+    st.lists(st.booleans(), min_size=MAX_VAR, max_size=MAX_VAR),
+    st.integers(min_value=0, max_value=MAX_VAR),
+)
+def test_trail_walk_cone_is_the_reason_closure(clauses, units, orders, signs, count):
+    # Hypothesis draws the database's unit clauses and the order the
+    # assumptions are given in; each call's cone must be the closure of
+    # that call's roots over that call's reasons.
+    engine = UnitPropagator(MAX_VAR)
+    reference = ReferencePropagator(MAX_VAR)
+    for clause in clauses + [[lit] for lit in units]:
+        engine.add_clause(clause)
+        reference.add_clause(clause)
+    for order in orders:
+        assumptions = [var if signs[var - 1] else -var for var in order[:count]]
+        reasons: dict[int, int] = {}
+        roots = engine._propagate(assumptions, reasons)
+        assert (roots is not None) == reference.propagate(assumptions)
+        if roots is None:
+            continue
+        cone = engine._conflict_cone(roots, reasons)
+        assert cone == _dfs_cone(engine.clauses, roots, reasons)
+        if cone:
+            _assert_cone_reproduces(engine, cone, assumptions)
+
+
+@settings(max_examples=200, deadline=None)
+@given(operations, st.lists(clause_lits, max_size=6))
+def test_the_occurrence_index_is_built_from_the_live_clauses(ops, later):
+    # No occurrences() call until every op has run: the first call builds
+    # the index, and adds and removes after it keep it exact.
+    engine = UnitPropagator(MAX_VAR)
+    for op, arg in ops:
+        live = [i for i, clause in enumerate(engine.clauses) if clause is not None]
+        if op in ("add", "propagate"):
+            engine.add_clause(arg)
+        elif live:
+            engine.remove_clause(live[arg % len(live)])
+    assert engine._occurrences is None
+    for step in [None, *later]:
+        if step is not None:
+            engine.add_clause(step)
+            live = [i for i, clause in enumerate(engine.clauses) if clause is not None]
+            if len(live) > 1:
+                engine.remove_clause(live[len(step) % len(live)])
+        for lit in [lit for lit in range(-MAX_VAR, MAX_VAR + 1) if lit]:
+            expected = [
+                index
+                for index, clause in enumerate(engine.clauses)
+                if clause is not None and lit in clause
+            ]
+            assert list(engine.occurrences(lit)) == expected

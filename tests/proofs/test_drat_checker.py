@@ -229,6 +229,26 @@ def test_rup_checker_reads_both_encodings(tmp_path, fmt):
     assert report.verified, report.failure
 
 
+@pytest.mark.parametrize("mode", ["forward", "backward", "rup"])
+def test_a_rup_only_proof_never_builds_the_occurrence_index(tmp_path, mode):
+    """Only the RAT fallback reads the index, so a DRUP proof never pays for it."""
+    inst = generate(core=3, dead=2, rat=0, deletions=True)
+    proof = _materialize(inst, tmp_path, "binary")
+    if mode == "rup":
+        checker = RupChecker(_formula(inst), proof)
+    else:
+        checker = DratChecker(_formula(inst), proof, backward=mode == "backward")
+    assert checker.check().verified
+    assert checker._engine._occurrences is None
+
+
+def test_a_rat_lemma_builds_the_occurrence_index(fixture_instance, tmp_path):
+    proof = _materialize(fixture_instance, tmp_path, "text")
+    checker = DratChecker(_formula(fixture_instance), proof)
+    assert checker.check().verified
+    assert checker._engine._occurrences is not None
+
+
 def test_rup_checker_rejects_rat_lemmas(fixture_instance, tmp_path):
     """Genuine RAT steps are beyond RUP — the RUP checker must say so."""
     inst = fixture_instance

@@ -203,6 +203,32 @@ def test_binary_truncated_varint(tmp_path):
     _malformed(path)
 
 
+@pytest.mark.parametrize(
+    "payload,message",
+    [
+        (bytes([0x61, 0x02, 0x84]), "truncated varint at end of proof"),
+        (bytes([0x61, 0x02, 0x84, 0x81]), "truncated varint at end of proof"),
+        (bytes([0x61, 0x02] + [0xFF] * 11 + [0x01, 0x00]), "varint too long"),
+    ],
+    ids=["truncated", "truncated-multi-byte", "too-long"],
+)
+def test_binary_varint_failures_name_the_varint_start(tmp_path, payload, message):
+    """The offset is the first byte of the offending literal's varint."""
+    path = tmp_path / "p.bdrat"
+    path.write_bytes(payload)
+    failure = _malformed(path)
+    assert (failure.message, failure.context) == (message, {"offset": 2})
+
+
+def test_binary_multi_byte_varints_decode(tmp_path):
+    big = [64, -64, 8191, -8192, 2**20 + 3, -(2**40)]
+    path = tmp_path / "p.bdrat"
+    _write(path, [("add", big), ("delete", big[::-1])], "binary")
+    # A zero spelled over two bytes still ends its step.
+    path.write_bytes(path.read_bytes() + bytes([0x61, 0x02, 0x80, 0x00]))
+    assert list(iter_proof_steps(path)) == [("add", big), ("delete", big[::-1]), ("add", [1])]
+
+
 @settings(max_examples=80, deadline=None)
 @given(cut=st.integers(min_value=0, max_value=200))
 def test_truncated_binary_proof_never_crashes(cut, tmp_path_factory):

@@ -7,6 +7,7 @@ import pytest
 from repro.service.cache import VerdictCache
 from repro.service.client import ServiceClient
 from repro.service.jobs import JobState, JobStore
+from repro.service.pool import WorkerPool
 from repro.service.scheduler import Scheduler
 
 
@@ -65,6 +66,41 @@ def test_unknown_job_option_fails_fast(artifacts, tmp_path):
     scheduler.drain()
     assert job.state is JobState.FAILED
     assert "bogus_knob" in job.result["error"]
+    scheduler.store.close()
+
+
+@pytest.mark.parametrize(
+    "options,message",
+    [
+        ({"method": "streaming", "memory_window": -5}, "memory_window must be non-negative, got -5"),
+        (
+            {"method": "df", "policy": "fallback", "count_chunk_size": -1},
+            "count_chunk_size must be positive, got -1",
+        ),
+        ({"method": "bf", "window_records": 0}, "window_records must be positive, got 0"),
+    ],
+    ids=["memory-window", "count-chunk-size", "window-records"],
+)
+def test_out_of_range_job_option_fails_before_dispatch(
+    artifacts, tmp_path, monkeypatch, options, message
+):
+    _, cnf, _, binary_path = artifacts
+    dispatched: list[str] = []
+    submit = WorkerPool.submit
+
+    def spy(self, task):
+        dispatched.append(task["job_id"])
+        return submit(self, task)
+
+    monkeypatch.setattr(WorkerPool, "submit", spy)
+    scheduler = make_scheduler(tmp_path, num_workers=1)
+    bad = scheduler.store.submit(cnf, binary_path, options)
+    good = scheduler.store.submit(cnf, binary_path, {"method": "bf"})
+    scheduler.drain()
+    assert bad.state is JobState.FAILED
+    assert bad.result["error"] == f"ValueError: {message}"
+    assert good.state is JobState.DONE
+    assert dispatched == [good.job_id]
     scheduler.store.close()
 
 
